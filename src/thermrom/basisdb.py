@@ -25,6 +25,7 @@ __all__ = [
     "congruent_align",
     "default_grid",
     "build_database",
+    "cell_weight",
     "interpolate_basis",
     "slow_basis_derivative",
     "stack_columns",
@@ -205,6 +206,24 @@ def _locate(db, x_c):
     return x_c
 
 
+def cell_weight(db, x_c):
+    """Grid cell ``j`` and blend weight ``w`` of a pulse position, so that
+    the interpolated basis is ``(1 - w) V_j + w V_{j+1}``.
+
+    Positions outside the grid are clamped to the nearest end with a logged
+    warning; a single-entry database gives ``(0, 0.0)``. This is the one
+    place that decides the cell, for :func:`interpolate_basis` and for the
+    reduced models that blend precomputed per-node operators.
+    """
+    if len(db) == 1:
+        return 0, 0.0
+    x = _locate(db, float(x_c))
+    grid = db.grid
+    j = int(np.searchsorted(grid, x, side="right") - 1)
+    j = min(max(j, 0), grid.size - 2)
+    return j, (x - grid[j]) / (grid[j + 1] - grid[j])
+
+
 def interpolate_basis(db, x_c, reorthonormalize=False):
     """Entrywise piecewise-linear interpolation of the basis and equilibrium.
 
@@ -215,15 +234,7 @@ def interpolate_basis(db, x_c, reorthonormalize=False):
     """
     if not db.aligned:
         raise ContractError("cannot interpolate a raw (unaligned) database")
-    if len(db) == 1:
-        v, u = db.entries[0].matrix, db.entries[0].u_eq
-        return (v.copy(), u.copy())
-    x = _locate(db, float(x_c))
-    grid = db.grid
-    j = int(np.searchsorted(grid, x, side="right") - 1)
-    j = min(max(j, 0), grid.size - 2)
-    span = grid[j + 1] - grid[j]
-    w = (x - grid[j]) / span
+    j, w = cell_weight(db, x_c)
     if w == 0.0:
         v = db.entries[j].matrix.copy()
         u = db.entries[j].u_eq.copy()
@@ -252,8 +263,7 @@ def slow_basis_derivative(db, x_c, delta=None):
     x = _locate(db, float(x_c))
     grid = db.grid
     if delta is None:
-        j = int(np.searchsorted(grid, x, side="right") - 1)
-        j = min(max(j, 0), grid.size - 2)
+        j, _ = cell_weight(db, x)
         delta = 0.5 * (grid[j + 1] - grid[j])
     lo = max(x - delta, grid[0])
     hi = min(x + delta, grid[-1])

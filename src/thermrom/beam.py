@@ -185,6 +185,13 @@ class BeamModel(SecondOrderModel):
         self.free_dofs = np.array(
             [i for i in range(self.n_full) if i not in clamped], dtype=int
         )
+        # Only the end nodes are clamped, so the free dofs are one slice.
+        self._free = slice(3, self.n_full - 3)
+        assert np.array_equal(self.free_dofs, np.arange(self.n_full)[self._free])
+        # Per-Gauss-point quadrature weights and slopes, element-major, for
+        # the reduced kernels.
+        self._wq_gauss = np.tile(self.tables.wq, n_el)
+        self._z0p_flat = self.z0_slope_gauss.ravel()
 
         self._mass_full = self._assemble_mass_full()
         self._mass = self._reduce_matrix(self._mass_full)
@@ -193,7 +200,8 @@ class BeamModel(SecondOrderModel):
         k_cold = self.tangent_stiffness(np.zeros(self.dof_count), None)
         self._damping = (p.damping_modulus / p.youngs_modulus) * k_cold
         for arr in (self._mass_full, self._mass, self._damping, self.node_x,
-                    self.x_gauss, self.z0_slope_gauss, self.free_dofs):
+                    self.x_gauss, self.z0_slope_gauss, self.free_dofs,
+                    self._wq_gauss):
             arr.flags.writeable = False
 
     # -- geometry -----------------------------------------------------------
@@ -234,7 +242,7 @@ class BeamModel(SecondOrderModel):
     # -- assembly -----------------------------------------------------------
 
     def _reduce_matrix(self, m_full):
-        return np.ascontiguousarray(m_full[np.ix_(self.free_dofs, self.free_dofs)])
+        return np.ascontiguousarray(m_full[self._free, self._free])
 
     def _embed(self, u):
         u = np.asarray(u, dtype=float)
@@ -243,7 +251,7 @@ class BeamModel(SecondOrderModel):
                 f"displacement has shape {u.shape}, expected ({self.dof_count},)"
             )
         full = np.zeros(self.n_full)
-        full[self.free_dofs] = u
+        full[self._free] = u
         return full
 
     def _assemble_mass_full(self):
@@ -281,7 +289,7 @@ class BeamModel(SecondOrderModel):
 
     def internal_force(self, u, theta):
         f = kernels.beam_force(*self._kernel_args(u, theta))
-        return f[self.free_dofs]
+        return f[self._free]
 
     def tangent_stiffness(self, u, theta):
         _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
@@ -289,7 +297,52 @@ class BeamModel(SecondOrderModel):
 
     def force_and_tangent(self, u, theta):
         f, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
-        return f[self.free_dofs], self._reduce_matrix(k)
+        return f[self._free], self._reduce_matrix(k)
+
+    # -- reduced evaluation -------------------------------------------------
+
+    def reduced_rows(self, v, u_org):
+        """Gauss-point rows of ``u = u_org + V q`` for the reduced kernels.
+
+        Returns ``(rows, offset)`` of shapes ``(3, 3*n_el, m)`` and
+        ``(3, 3*n_el)``: ``rows[k] @ q + offset[k]`` is the axial strain
+        (k = 0), slope (1) and curvature (2) at every Gauss point. Both are
+        linear in ``(V, u_org)``, so the rows of an interpolated basis are
+        the interpolated rows.
+        """
+        v = np.asarray(v, dtype=float)
+        if v.ndim != 2 or v.shape[0] != self.dof_count:
+            raise ContractError(
+                f"basis has shape {v.shape}, expected ({self.dof_count}, m)"
+            )
+        cols = np.zeros((self.n_full, v.shape[1] + 1))
+        cols[:, 0] = self._embed(u_org)
+        cols[self._free, 1:] = v
+        r = kernels.gauss_rows(cols, self.tables)
+        return np.ascontiguousarray(r[:, :, 1:]), np.ascontiguousarray(r[:, :, 0])
+
+    def bending_block(self, rows_a, rows_b):
+        """``B_a' diag(wq EI) B_b`` from the curvature rows of two bases:
+        the state-independent bending part of the reduced tangent."""
+        ei = self.properties.bending_rigidity
+        return rows_a[2].T @ ((self._wq_gauss * ei)[:, None] * rows_b[2])
+
+    def _reduced_args(self, t_gauss):
+        p = self.properties
+        return (self._wq_gauss, self._z0p_flat, t_gauss.ravel(), p.axial_rigidity,
+                p.bending_rigidity, p.thermal_expansion)
+
+    def reduced_force(self, rows, offset, q, t_gauss):
+        """``V'f(u_org + V q)`` at the Gauss temperatures ``t_gauss``
+        (see :meth:`gauss_temperature`), from :meth:`reduced_rows`."""
+        return kernels.reduced_force(q, rows, offset, *self._reduced_args(t_gauss),
+                                     nonlinear=not self.linear_kinematics)
+
+    def reduced_tangent(self, rows, offset, q, t_gauss, k_bend):
+        """Reduced tangent ``V'K_t V``; ``k_bend`` is :meth:`bending_block`
+        of the same basis."""
+        return kernels.reduced_tangent(q, rows, offset, *self._reduced_args(t_gauss),
+                                       k_bend, nonlinear=not self.linear_kinematics)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))
@@ -309,7 +362,7 @@ class BeamModel(SecondOrderModel):
         f = np.zeros(self.n_full)
         for e in range(self.properties.n_elements):
             f[3 * e: 3 * e + 6] += f_el
-        return f[self.free_dofs] if reduce else f
+        return f[self._free] if reduce else f
 
     def export_matrices(self, directory, theta=None, u=None):
         """Write M, C and the tangent stiffness as Matrix Market files."""

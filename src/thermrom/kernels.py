@@ -18,6 +18,21 @@ term and its tangent are dropped in linear-kinematics mode, while the
 thermal prestress contribution to the geometric stiffness is kept), axial
 force ``N = EA*(e - alpha_T*T)``, bending moment ``EI*w''``. Three-point
 Gauss quadrature per element.
+
+Reduced evaluation (numpy only). For a displacement ``u = u_org + V q`` the
+Gauss-point gradients are linear in ``q``: offline, :func:`gauss_rows`
+applies the shape rows ``ba``, ``bw_g`` and ``bb_g`` to every element block
+of ``V`` and ``u_org``, giving rows ``A``, ``W``, ``B`` of shape
+``(3*n_el, m)`` and their offsets. Online, :func:`reduced_force` and
+:func:`reduced_tangent` return the Galerkin force ``V'f`` and
+tangent ``V'K_t V`` from these rows alone, with ``G = A + (z0' + nl*w')W``:
+
+    f_red = G'(wq N) + W'(wq (1-nl) N_T w') + B'(wq EI w'')
+    K_red = G' diag(wq EA) G + W' diag(wq N_geo) W + K_bend
+
+with ``wq`` the quadrature weights. ``K_bend = B' diag(wq EI) B`` does not
+depend on the state and is passed in. Nothing of size ``n`` is assembled or projected. The Gauss-point
+constitutive lines are shared with the full numpy kernels.
 """
 
 from __future__ import annotations
@@ -35,6 +50,9 @@ __all__ = [
     "beam_force",
     "beam_force_and_tangent",
     "beam_strain_energy",
+    "gauss_rows",
+    "reduced_force",
+    "reduced_tangent",
 ]
 
 _ENV_FLAG = "THERMROM_NUMBA"
@@ -230,12 +248,19 @@ def _dof_index(n_el: int) -> np.ndarray:
     return 3 * np.arange(n_el)[:, None] + np.arange(6)[None, :]
 
 
-def _gauss_state(u_el, ba, bwg, bbg, z0pg, nl):
-    up = u_el @ ba
-    wp = u_el @ bwg
-    wpp = u_el @ bbg
+def _gauss_state(u_el, ba, bwg, bbg):
+    return u_el @ ba, u_el @ bwg, u_el @ bbg
+
+
+def _gauss_resultants(up, wp, wpp, z0pg, t_g, ea, ei, a_t, nl):
+    """Membrane strain, thermal force, axial force, geometric-stiffness
+    force and bending moment from the Gauss-point gradients."""
     em = up + z0pg * wp + 0.5 * nl * wp * wp
-    return wp, wpp, em
+    nt = -ea * a_t * t_g
+    nax = ea * em + nt
+    ngeo = nl * nax + (1.0 - nl) * nt
+    mb = ei * wpp
+    return em, nt, nax, ngeo, mb
 
 
 def _force_numpy(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
@@ -243,14 +268,14 @@ def _force_numpy(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
     u_el = u[idx]
     f_el = np.zeros((n_el, 6))
     for g in range(3):
-        wp, wpp, em = _gauss_state(u_el, ba, bw[g], bb[g], z0p[:, g], nl)
-        nt = -ea * a_t * t_g[:, g]
-        nax = ea * em + nt
+        up, wp, wpp = _gauss_state(u_el, ba, bw[g], bb[g])
+        _, nt, nax, _, mb = _gauss_resultants(up, wp, wpp, z0p[:, g], t_g[:, g],
+                                              ea, ei, a_t, nl)
         gmat = ba[None, :] + (z0p[:, g] + nl * wp)[:, None] * bw[g][None, :]
         f_el += wq[g] * (
             gmat * nax[:, None]
             + ((1.0 - nl) * nt * wp)[:, None] * bw[g][None, :]
-            + (ei * wpp)[:, None] * bb[g][None, :]
+            + mb[:, None] * bb[g][None, :]
         )
     f = np.zeros_like(u)
     np.add.at(f, idx, f_el)
@@ -263,15 +288,14 @@ def _force_tangent_numpy(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
     f_el = np.zeros((n_el, 6))
     k_el = np.zeros((n_el, 6, 6))
     for g in range(3):
-        wp, wpp, em = _gauss_state(u_el, ba, bw[g], bb[g], z0p[:, g], nl)
-        nt = -ea * a_t * t_g[:, g]
-        nax = ea * em + nt
-        ngeo = nl * nax + (1.0 - nl) * nt
+        up, wp, wpp = _gauss_state(u_el, ba, bw[g], bb[g])
+        _, nt, nax, ngeo, mb = _gauss_resultants(up, wp, wpp, z0p[:, g], t_g[:, g],
+                                                 ea, ei, a_t, nl)
         gmat = ba[None, :] + (z0p[:, g] + nl * wp)[:, None] * bw[g][None, :]
         f_el += wq[g] * (
             gmat * nax[:, None]
             + ((1.0 - nl) * nt * wp)[:, None] * bw[g][None, :]
-            + (ei * wpp)[:, None] * bb[g][None, :]
+            + mb[:, None] * bb[g][None, :]
         )
         bwbw = np.outer(bw[g], bw[g])
         bbbb = np.outer(bb[g], bb[g])
@@ -293,8 +317,9 @@ def _energy_numpy(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
     u_el = u[idx]
     total = 0.0
     for g in range(3):
-        wp, wpp, em = _gauss_state(u_el, ba, bw[g], bb[g], z0p[:, g], nl)
-        nt = -ea * a_t * t_g[:, g]
+        up, wp, wpp = _gauss_state(u_el, ba, bw[g], bb[g])
+        em, nt, _, _, _ = _gauss_resultants(up, wp, wpp, z0p[:, g], t_g[:, g],
+                                            ea, ei, a_t, nl)
         total += wq[g] * np.sum(
             0.5 * ea * em * em
             + nt * em
@@ -302,6 +327,56 @@ def _energy_numpy(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
             + 0.5 * ei * wpp * wpp
         )
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# reduced evaluation from Gauss-point rows
+# ---------------------------------------------------------------------------
+
+def gauss_rows(cols, tables):
+    """Gauss-point gradient rows of unconstrained columns ``cols`` (n, k).
+
+    Returns shape ``(3, 3*n_el, k)``: the axial strain ``ba u_e``, slope
+    ``bw_g u_e`` and curvature ``bb_g u_e`` of every column at every Gauss
+    point, element-major (row ``3*e + g``).
+    """
+    n_el = (cols.shape[0] - 3) // 3
+    c_el = cols[_dof_index(n_el)]
+    out = np.empty((3, n_el, 3, cols.shape[1]))
+    out[0] = (tables.ba @ c_el)[:, None, :]
+    out[1] = tables.bw @ c_el
+    out[2] = tables.bb @ c_el
+    return out.reshape(3, 3 * n_el, cols.shape[1])
+
+
+def _reduced_state(q, rows, offset, z0p, t_g, ea, ei, a_t, nl):
+    up, wp, wpp = (rows.reshape(-1, rows.shape[2]) @ q).reshape(3, -1) + offset
+    return wp, _gauss_resultants(up, wp, wpp, z0p, t_g, ea, ei, a_t, nl)
+
+
+def reduced_force(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
+    """Galerkin internal force ``V'f(u_org + V q)`` from the rows and
+    offsets of :func:`gauss_rows`; ``wq``, ``z0p`` and ``t_gauss`` are
+    given per Gauss point, flattened element-major."""
+    nl = 1.0 if nonlinear else 0.0
+    wp, (_, nt, nax, _, mb) = _reduced_state(q, rows, offset, z0p, t_gauss,
+                                             ea, ei, alpha_t, nl)
+    wn = wq * nax
+    # G'(wq N) + W'(wq (1-nl) N_T w') + B'(wq M) as one product with [A; W; B].
+    coef = np.concatenate([wn, (z0p + nl * wp) * wn + wq * ((1.0 - nl) * nt * wp),
+                           wq * mb])
+    return rows.reshape(-1, rows.shape[2]).T @ coef
+
+
+def reduced_tangent(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, k_bend,
+                    nonlinear=True):
+    """Galerkin tangent ``V'K_t(u_org + V q)V``; ``k_bend`` is the
+    state-independent bending block ``B' diag(wq EI) B``."""
+    nl = 1.0 if nonlinear else 0.0
+    wp, (_, _, _, ngeo, _) = _reduced_state(q, rows, offset, z0p, t_gauss,
+                                            ea, ei, alpha_t, nl)
+    gmat = rows[0] + (z0p + nl * wp)[:, None] * rows[1]
+    return (gmat.T * (wq * ea)) @ gmat + (rows[1].T * (wq * ngeo)) @ rows[1] + k_bend
 
 
 # ---------------------------------------------------------------------------

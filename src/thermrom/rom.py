@@ -7,8 +7,23 @@ center ``x_c(tau)`` and ``tau(t) = eps * nu * t`` with ``nu`` the fast
 (forcing) rate. Within one integrator step the basis, origin and reduced
 operators are frozen at the step-midpoint phase, which keeps the
 second-order accuracy of the integrator in the fast time while the basis
-drifts at the slow rate. The correction system is linear in its unknowns
-with the right-hand side
+drifts at the slow rate.
+
+The Galerkin models split their work into an offline and an online part.
+Offline, when a model is built, each basis node ``(V_j, u_j)`` (each
+database entry, or the one constant basis) gets its Gauss-point rows from
+:meth:`BeamModel.reduced_rows`. The interpolated basis is linear in the
+blend weight ``w``, and so are its rows; ``V'MV``, ``V'CV`` and the bending
+tangent ``K_bend`` are quadratic in ``w``, so each grid cell ``(j, j+1)``
+gets three m x m blocks of each. Online, ``begin_step`` blends the rows and
+the blocks at the cell and weight from :func:`basisdb.cell_weight` (the
+helper :func:`basisdb.interpolate_basis` uses too), and each Newton
+iteration evaluates the reduced force and tangent from the blended rows
+(:func:`kernels.reduced_force`, :func:`kernels.reduced_tangent`) at a cost
+of O(m^2) per Gauss point, with no n-sized assembly or projection. Only the
+applied load is projected with the step's basis.
+
+The correction system is linear in its unknowns with the right-hand side
 
     V' * [dp/deps - 2*nu*M*dV/dtau*q0' - c*nu*C*(du_eq/dtau + dV/dtau*q0)]
 
@@ -24,13 +39,11 @@ import logging
 
 import numpy as np
 
-from .basisdb import interpolate_basis, slow_basis_derivative
+from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative
 from .newmark import TransientSystem
 
 __all__ = [
-    "BasisSource",
     "InterpolatedBasisSource",
-    "ConstantBasisSource",
     "FullSystem",
     "AdaptiveRom",
     "CorrectionRom",
@@ -49,17 +62,10 @@ def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):
     return np.asarray(u_eq) + np.asarray(basis) @ q
 
 
-class BasisSource:
-    """Provides (V, u_eq) and their slow derivatives at a pulse position."""
+class InterpolatedBasisSource:
+    """Provides (V, u_eq) and their slow derivatives at a pulse position
+    from an aligned database."""
 
-    def basis_at(self, x_c):
-        raise NotImplementedError
-
-    def derivative_at(self, x_c):
-        raise NotImplementedError
-
-
-class InterpolatedBasisSource(BasisSource):
     def __init__(self, database, derivative_delta=None):
         self.database = database
         self.derivative_delta = derivative_delta
@@ -70,19 +76,6 @@ class InterpolatedBasisSource(BasisSource):
     def derivative_at(self, x_c):
         return slow_basis_derivative(self.database, x_c,
                                      delta=self.derivative_delta)
-
-
-class ConstantBasisSource(BasisSource):
-    def __init__(self, basis, u_ref=None):
-        self.basis = np.asarray(basis, dtype=float)
-        self.u_ref = (np.zeros(self.basis.shape[0]) if u_ref is None
-                      else np.asarray(u_ref, dtype=float))
-
-    def basis_at(self, x_c):
-        return self.basis, self.u_ref
-
-    def derivative_at(self, x_c):
-        return np.zeros_like(self.basis), np.zeros_like(self.u_ref)
 
 
 class FullSystem(TransientSystem):
@@ -125,15 +118,44 @@ class FullSystem(TransientSystem):
 
 
 class _ReducedBase(TransientSystem):
-    """Shared reduced-operator plumbing (frozen-basis caches)."""
+    """Galerkin operators on a chain of basis nodes ``(V_j, u_j)``.
 
-    def __init__(self, model, source):
+    Built once: each node's Gauss-point rows, and per cell the blocks
+    ``X_jj``, ``X_jk + X_kj`` and ``X_kk`` (k = j + 1) of the mass, damping
+    and bending matrices, with ``X_ab = V_a' X V_b``. :meth:`_freeze` blends
+    them for one position in the chain.
+    """
+
+    def __init__(self, model, bases, origins):
         self.model = model
-        self.source = source
+        self._bases = [np.asarray(v, dtype=float) for v in bases]
+        self._node_rows, self._node_offsets = zip(*(
+            model.reduced_rows(v, u) for v, u in zip(self._bases, origins)))
+        n_nodes = len(self._bases)
+        stacked = np.concatenate(self._bases, axis=1)
+        mass_v = np.split(model.mass() @ stacked, n_nodes, axis=1)
+        damping_v = np.split(model.damping() @ stacked, n_nodes, axis=1)
+
+        def blocks(a, b):
+            return np.stack([
+                self._bases[a].T @ mass_v[b],
+                self._bases[a].T @ damping_v[b],
+                model.bending_block(self._node_rows[a], self._node_rows[b]),
+            ])
+
+        # Mass, damping and bending blocks, stacked: per node, and per cell
+        # the symmetrized cross term.
+        self._node_blocks = [blocks(j, j) for j in range(n_nodes)]
+        self._cross_blocks = []
+        for j in range(n_nodes - 1):
+            cross = blocks(j, j + 1)
+            self._cross_blocks.append(cross + cross.transpose(0, 2, 1))
         self._v = None
-        self._u_org = None
+        self._rows = None
+        self._offset = None
         self._m_red = None
         self._c_red = None
+        self._k_bend = None
 
     @property
     def ndof(self):
@@ -142,14 +164,29 @@ class _ReducedBase(TransientSystem):
     def mass(self):
         return self._m_red
 
-    def _freeze(self, x_c):
-        v, u_org = self.source.basis_at(x_c)
-        self._v = v
-        self._u_org = u_org
-        self._m_red = v.T @ self.model.mass() @ v
-        self._c_red = v.T @ self.model.damping() @ v
+    def _freeze(self, j, w):
+        """Freeze the operators at weight ``w`` in cell ``j``."""
+        if w == 0.0:
+            self._v = self._bases[j]
+            self._rows, self._offset = self._node_rows[j], self._node_offsets[j]
+            blocks = self._node_blocks[j]
+        else:
+            self._v = (1.0 - w) * self._bases[j] + w * self._bases[j + 1]
+            self._rows = (1.0 - w) * self._node_rows[j] + w * self._node_rows[j + 1]
+            self._offset = (1.0 - w) * self._node_offsets[j] + w * self._node_offsets[j + 1]
+            blocks = ((1.0 - w) ** 2 * self._node_blocks[j]
+                      + (w * (1.0 - w)) * self._cross_blocks[j]
+                      + w**2 * self._node_blocks[j + 1])
+        self._m_red, self._c_red, self._k_bend = blocks
         # The reduced mass must stay positive definite for any frozen basis.
         np.linalg.cholesky(self._m_red)
+
+    def _force(self, q, t_gauss):
+        return self.model.reduced_force(self._rows, self._offset, q, t_gauss)
+
+    def _tangent(self, q, t_gauss):
+        return self.model.reduced_tangent(self._rows, self._offset, q, t_gauss,
+                                          self._k_bend)
 
 
 class AdaptiveRom(_ReducedBase):
@@ -160,68 +197,64 @@ class AdaptiveRom(_ReducedBase):
         V' M V q0'' + V' C V q0' + V' f(u_eq + V q0, x_c(tau)) - V' p(t)
 
     where ``p`` is the leading-order part of the applied load. With a
-    constant source and a fixed pulse this reduces to a standard
+    single-entry database and a fixed pulse this reduces to a standard
     fixed-basis model.
     """
 
     def __init__(self, model, source, tau_of_t, xc_of_tau, load=None):
-        super().__init__(model, source)
+        db = source.database
+        super().__init__(model, [e.matrix for e in db.entries],
+                         [e.u_eq for e in db.entries])
+        self.source = source
         self.tau_of_t = tau_of_t
         self.xc_of_tau = xc_of_tau
         self.load = load or (lambda t: np.zeros(model.dof_count))
         self._x_c = None
+        self._t_gauss = None
         self.set_slow_time(0.0)
 
     def set_slow_time(self, t):
-        tau = self.tau_of_t(t)
-        self._x_c = self.xc_of_tau(tau)
-        self._freeze(self._x_c)
+        self._x_c = self.xc_of_tau(self.tau_of_t(t))
+        self._freeze(*cell_weight(self.source.database, self._x_c))
+        self._t_gauss = self.model.gauss_temperature(self._x_c)
 
     def begin_step(self, t_start, t_end):
         self.set_slow_time(0.5 * (t_start + t_end))
 
-    @property
-    def frozen_state(self):
-        return self._v, self._u_org, self._x_c
-
     def residual(self, q, qd, qdd, t):
-        f = self.model.internal_force(self._u_org + self._v @ q, self._x_c)
-        return (self._m_red @ qdd + self._c_red @ qd
-                + self._v.T @ (f - self.load(t)))
+        return (self._m_red @ qdd + self._c_red @ qd + self._force(q, self._t_gauss)
+                - self._v.T @ self.load(t))
 
     def iteration_matrix(self, q, qd, qdd, t, c_acc, c_vel):
-        kt = self.model.tangent_stiffness(self._u_org + self._v @ q, self._x_c)
         return (c_acc * self._m_red + c_vel * self._c_red
-                + self._v.T @ kt @ self._v)
+                + self._tangent(q, self._t_gauss))
 
 
 class ConstantBasisRom(_ReducedBase):
     """Fixed-basis Galerkin model about a fixed origin.
 
-    Projects the original equations onto ``V`` with the full applied load
-    ``g(t)``; the thermal load enters as forcing through
+    Galerkin model of the original equations on ``V`` with the full
+    applied load ``g(t)``; the thermal load enters as forcing through
     ``f(u_ref + V q, theta(t))``. No slow-phase freezing: the temperature
-    parameter is evaluated at the exact residual time.
+    parameter is evaluated at the exact residual time. The basis is a
+    single node, so its operators are built and frozen once.
     """
 
     def __init__(self, model, basis, theta_of_t=None, load=None, u_ref=None):
-        source = ConstantBasisSource(basis, u_ref)
-        super().__init__(model, source)
+        u_ref = np.zeros(model.dof_count) if u_ref is None else u_ref
+        super().__init__(model, [basis], [u_ref])
         self.theta_of_t = theta_of_t or (lambda t: None)
         self.load = load or (lambda t: np.zeros(model.dof_count))
-        self._freeze(None)
+        self._freeze(0, 0.0)
 
     def residual(self, q, qd, qdd, t):
-        theta = self.theta_of_t(t)
-        f = self.model.internal_force(self._u_org + self._v @ q, theta)
-        return (self._m_red @ qdd + self._c_red @ qd
-                + self._v.T @ (f - self.load(t)))
+        t_gauss = self.model.gauss_temperature(self.theta_of_t(t))
+        return (self._m_red @ qdd + self._c_red @ qd + self._force(q, t_gauss)
+                - self._v.T @ self.load(t))
 
     def iteration_matrix(self, q, qd, qdd, t, c_acc, c_vel):
-        theta = self.theta_of_t(t)
-        kt = self.model.tangent_stiffness(self._u_org + self._v @ q, theta)
-        return (c_acc * self._m_red + c_vel * self._c_red
-                + self._v.T @ kt @ self._v)
+        t_gauss = self.model.gauss_temperature(self.theta_of_t(t))
+        return c_acc * self._m_red + c_vel * self._c_red + self._tangent(q, t_gauss)
 
     @property
     def basis(self):
@@ -233,7 +266,7 @@ class CorrectionRom(_ReducedBase):
 
     Needs the leading-order solution through ``q0_of_t(t) -> (q0, q0dot)``
     and the analytic epsilon-derivative of the load ``eps_load(t)``. The
-    stiffness is the tangent at the reconstructed leading-order state, so
+    stiffness is the reduced tangent at the leading-order state ``q0``, so
     the operators are time dependent but state independent; initial
     conditions are identically zero.
     """
@@ -241,7 +274,10 @@ class CorrectionRom(_ReducedBase):
     def __init__(self, model, source, tau_of_t, xc_of_tau, q0_of_t,
                  nu, eps_load=None, dxc_dtau=None,
                  damping_cross_factor=1.0, include_equilibrium_drift=True):
-        super().__init__(model, source)
+        db = source.database
+        super().__init__(model, [e.matrix for e in db.entries],
+                         [e.u_eq for e in db.entries])
+        self.source = source
         self.tau_of_t = tau_of_t
         self.xc_of_tau = xc_of_tau
         self.q0_of_t = q0_of_t
@@ -251,16 +287,16 @@ class CorrectionRom(_ReducedBase):
         self.damping_cross_factor = float(damping_cross_factor)
         self.include_equilibrium_drift = bool(include_equilibrium_drift)
         self._x_c = None
-        self._tau = None
+        self._t_gauss = None
         self._v_slow = None
         self._u_org_slow = None
         self.set_slow_time(0.0)
 
     def set_slow_time(self, t):
         tau = self.tau_of_t(t)
-        self._tau = tau
         self._x_c = self.xc_of_tau(tau)
-        self._freeze(self._x_c)
+        self._freeze(*cell_weight(self.source.database, self._x_c))
+        self._t_gauss = self.model.gauss_temperature(self._x_c)
         dv_dxc, du_dxc = self.source.derivative_at(self._x_c)
         rate = self.dxc_dtau(tau)
         self._v_slow = dv_dxc * rate
@@ -270,10 +306,6 @@ class CorrectionRom(_ReducedBase):
 
     def begin_step(self, t_start, t_end):
         self.set_slow_time(0.5 * (t_start + t_end))
-
-    def leading_state(self, t):
-        q0, _ = self.q0_of_t(t)
-        return self._u_org + self._v @ q0
 
     def rhs(self, t):
         """Projected slow-coupling force driving the correction."""
@@ -295,8 +327,8 @@ class CorrectionRom(_ReducedBase):
         """Reduced tangent stiffness at the leading-order state."""
         if self._tangent_cache[0] == t:
             return self._tangent_cache[1]
-        kt = self.model.tangent_stiffness(self.leading_state(t), self._x_c)
-        out = self._v.T @ kt @ self._v
+        q0, _ = self.q0_of_t(t)
+        out = self._tangent(q0, self._t_gauss)
         self._tangent_cache = (t, out)
         return out
 

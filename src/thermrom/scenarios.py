@@ -156,16 +156,20 @@ class ScenarioConfig:
 def modal_subset_indices(cfg, n_entries):
     """Grid indices (0-based) used by the "Modal" stacking baseline."""
     subset = cfg.modal_subset
-    if isinstance(subset, str):
-        if subset == "preset" and cfg.scenario in MODAL_PRESETS:
-            return tuple(j - 1 for j in MODAL_PRESETS[cfg.scenario])
-        if subset in ("preset", "random"):
-            rng = np.random.default_rng(cfg.seed)
-            return tuple(sorted(rng.choice(n_entries, size=3, replace=False)))
+    if subset == "preset" and cfg.scenario in MODAL_PRESETS:
+        subset = MODAL_PRESETS[cfg.scenario]
+    elif subset in ("preset", "random"):
+        if n_entries < 3:
+            raise ConfigError(f"a random modal subset needs at least 3 grid "
+                              f"points; the grid has {n_entries}")
+        rng = np.random.default_rng(cfg.seed)
+        return tuple(sorted(rng.choice(n_entries, size=3, replace=False)))
+    elif isinstance(subset, str):
         raise ConfigError(f"unknown modal_subset {subset!r}")
     idx = tuple(int(j) - 1 for j in subset)
     if any(not 0 <= j < n_entries for j in idx):
-        raise ConfigError(f"modal subset {subset!r} outside the grid")
+        raise ConfigError(f"modal subset {tuple(subset)!r} of {cfg.scenario} "
+                          f"outside the grid of {n_entries} points")
     return idx
 
 
@@ -382,13 +386,13 @@ def _run_hfm(scn):
 
 def _run_mms(scn, order):
     source = InterpolatedBasisSource(scn.database)
-    rom = AdaptiveRom(
-        scn.model, source, scn.tau_of_t, scn.xc_of_tau, load=scn.leading_load
-    )
     m = scn.database.m
-    q0 = np.zeros(m)
+    # The leading-order model is not kept: its operators are freed before
+    # the correction model builds its own.
     traj0 = newmark_integrate(
-        rom, q0, np.zeros(m), scn.dt, scn.n_steps, scn.newmark_settings(),
+        AdaptiveRom(scn.model, source, scn.tau_of_t, scn.xc_of_tau,
+                    load=scn.leading_load),
+        np.zeros(m), np.zeros(m), scn.dt, scn.n_steps, scn.newmark_settings(),
         coordinate_space="reduced:mms-o1", metadata=_run_metadata(scn, "mms-o1"),
     )
     if order == 1:

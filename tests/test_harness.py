@@ -101,6 +101,19 @@ def test_modal_subset_presets():
     assert len(idx) == 3 and all(0 <= j < 19 for j in idx)
 
 
+def test_modal_subset_checked_against_grid():
+    # the curved-nonlinear preset (4, 7, 13) does not fit a 5-point grid
+    cfg = ScenarioConfig(scenario="curved-nonlinear", method="modal", **SMOKE)
+    with pytest.raises(ConfigError, match=r"\(4, 7, 13\).*5 points"):
+        modal_subset_indices(cfg, 5)
+    with pytest.raises(ConfigError, match="grid"):
+        run_scenario(cfg)
+    cfg = ScenarioConfig(scenario="straight-linear", modal_subset="random", **SMOKE)
+    with pytest.raises(ConfigError, match="at least 3"):
+        modal_subset_indices(cfg, 2)
+    assert len(modal_subset_indices(cfg, 3)) == 3
+
+
 def test_scenario_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="bent-spoon")

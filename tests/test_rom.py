@@ -4,7 +4,8 @@ basis, reconstruction."""
 import numpy as np
 import pytest
 
-from thermrom.basisdb import build_database, default_grid
+from thermrom import kernels
+from thermrom.basisdb import build_database, default_grid, interpolate_basis
 from thermrom.errors import ContractError
 from thermrom.newmark import newmark_integrate
 from thermrom.rom import (
@@ -140,6 +141,68 @@ def test_constant_basis_identity_equals_full(beam_straight_nl):
     traj_r = newmark_integrate(rom, u0.copy(), np.zeros(n), dt, 100)
     scale = np.abs(traj_f.displacement).max()
     assert np.abs(traj_f.displacement - traj_r.displacement).max() <= 1e-9 * scale
+
+
+# -- reduced evaluation against the projected full model ----------------------------
+
+@pytest.fixture(scope="module", params=["beam_straight_nl", "beam_curved_lin", "beam_curved_nl"])
+def model_and_db(request):
+    model = request.getfixturevalue(request.param)
+    return model, build_database(model, default_grid(L, 5), k=3)
+
+
+def _close(got, expect, rel=1e-12):
+    assert np.linalg.norm(got - expect) <= rel * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("where", ["node", "mid-cell", "clamped", "single-entry"])
+def test_reduced_operators_match_projection(model_and_db, where, rng):
+    # the reduced force, tangent, mass and damping equal V'f(u_org + V q),
+    # V'K_t V, V'MV and V'CV of the interpolated basis V(w)
+    model, db = model_and_db
+    grid = db.grid
+    x_c = {"node": grid[2], "mid-cell": 0.5 * (grid[1] + grid[2]),
+           "clamped": 0.5 * grid[0], "single-entry": grid[3]}[where]
+    if where == "single-entry":
+        db = build_database(model, [x_c], k=3)
+    v, u_org = interpolate_basis(db, x_c)
+    q = 1e-4 * rng.standard_normal(db.m)
+    u = u_org + v @ q
+    zero = np.zeros(db.m)
+
+    adaptive = AdaptiveRom(model, InterpolatedBasisSource(db),
+                           tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c)
+    constant = ConstantBasisRom(model, v, theta_of_t=lambda t: x_c, u_ref=u_org)
+    for rom in (adaptive, constant):
+        _close(rom.residual(q, zero, zero, 0.0), v.T @ model.internal_force(u, x_c))
+        _close(rom.iteration_matrix(q, zero, zero, 0.0, 0.0, 0.0),
+               v.T @ model.tangent_stiffness(u, x_c) @ v)
+        _close(rom.mass(), v.T @ model.mass() @ v)
+        _close(rom._c_red, v.T @ model.damping() @ v)
+
+
+def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
+    # a few integrated steps of the Galerkin models assemble nothing of
+    # full size: both full kernels are replaced by a trap
+    def trap(*args, **kwargs):
+        raise AssertionError("full-size kernel called by a reduced model")
+
+    monkeypatch.setattr(kernels, "beam_force", trap)
+    monkeypatch.setattr(kernels, "beam_force_and_tangent", trap)
+    model = beam_curved_nl
+    entry = db_nl.entries[3]
+    load = model.uniform_transverse_load(2e2)
+    omega = 0.7 * entry.frequencies[0]
+    roms = (
+        make_adaptive(model, db_nl, load=lambda t: load * np.sin(omega * t)),
+        ConstantBasisRom(model, entry.matrix, theta_of_t=lambda t: entry.x_c,
+                         load=lambda t: load * np.sin(omega * t), u_ref=entry.u_eq),
+    )
+    for rom in roms:
+        zero = np.zeros(db_nl.m)
+        traj = newmark_integrate(rom, zero, zero, (2.0 * np.pi / omega) / 40.0, 5)
+        assert np.all(np.isfinite(traj.displacement))
+        assert np.abs(traj.displacement).max() > 0.0
 
 
 # -- slow correction ----------------------------------------------------------------
