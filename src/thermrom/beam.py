@@ -174,7 +174,7 @@ class BeamModel(SecondOrderModel):
         self.n_nodes = n_el + 1
         self.node_x = np.linspace(0.0, p.length, self.n_nodes)
         self.element_length = p.length / n_el
-        self.tables = kernels.element_tables(self.element_length)
+        self.tables = kernels.ElementTables(self.element_length)
 
         # Gauss-point abscissae and initial-curvature slopes, per element.
         xi = self.tables.gauss_xi

@@ -41,18 +41,17 @@ def _resolve_out(arg, default_name):
     return Path(arg) if arg else _out_root() / default_name
 
 
-def _build_config(args, method=None):
+def _build_config(args, defaults=None):
+    """Flags win over the configuration file, the file over ``defaults``."""
     overrides = {
         key: getattr(args, key, None)
-        for key in ("scenario", "eps", "cycles", "steps_per_cycle", "seed",
+        for key in ("scenario", "eps", "cycles", "steps_per_cycle", "seed", "method",
                     "basis_size", "pulse_height", "save_states")
     }
-    if method is not None:
-        overrides["method"] = method
     if getattr(args, "config", None):
-        return load_config(args.config, overrides)
+        return load_config(args.config, overrides, defaults)
     values = {k: v for k, v in overrides.items() if v is not None}
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**{**(defaults or {}), **values})
 
 
 def _cmd_db_build(args):
@@ -83,9 +82,7 @@ def _cmd_db_inspect(args):
 
 
 def _cmd_run(args):
-    cfg = _build_config(args, method=args.method)
-    if cfg.scenario == "twodof":
-        return _cmd_demo(args)
+    cfg = _build_config(args, defaults={"method": "mms-o1"})
     out = _resolve_out(args.out or cfg.out_dir,
                        f"run_{cfg.scenario}_{cfg.method}_eps{cfg.eps:g}")
     bundle = run_scenario(cfg, out_dir=out)
@@ -177,7 +174,8 @@ def _add_common(parser, with_method=False):
                         default=None)
     parser.add_argument("--out", help="output directory")
     if with_method:
-        parser.add_argument("--method", choices=METHOD_NAMES, default="mms-o1")
+        parser.add_argument("--method", choices=METHOD_NAMES,
+                            help="reduction method (default: the file's, else mms-o1)")
 
 
 def build_parser():

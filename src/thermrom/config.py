@@ -18,7 +18,7 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import typing
 from pathlib import Path
 
 from .errors import ConfigError
@@ -31,7 +31,7 @@ _BOOL_FALSE = ("0", "false", "no", "off")
 
 
 def config_field_names():
-    return tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+    return tuple(_FIELD_TYPES)
 
 
 def _convert(name, raw, target_type):
@@ -45,38 +45,33 @@ def _convert(name, raw, target_type):
         if low in _BOOL_FALSE:
             return False
         raise ConfigError(f"key {name!r}: cannot parse boolean from {raw!r}")
-    if target_type is int:
+    if target_type in (int, float):
         try:
-            return int(raw)
+            return target_type(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {name!r}: cannot parse integer from {raw!r}") from exc
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {name!r}: cannot parse number from {raw!r}") from exc
+            raise ConfigError(f"key {name!r}: cannot parse {target_type.__name__} "
+                              f"from {raw!r}") from exc
     if name == "modal_subset" and "," in raw:
         return tuple(int(tok) for tok in raw.split(","))
     return raw
 
 
-_FIELD_TYPES = {
-    "scenario": str, "eps": float, "cycles": int, "steps_per_cycle": int,
-    "seed": int, "method": str, "basis_size": int, "out_dir": str,
-    "save_states": bool, "n_elements": int, "pulse_height": float,
-    "pulse_width_fraction": float, "damping_modulus": float,
-    "db_points": int, "k_modes": int,
-    "modal_subset": str, "modal_rank_tol": float, "newton_tol": float,
-    "max_newton": int, "damping_cross_factor": float,
-    "include_equilibrium_drift": bool,
-}
+def _field_type(hint):
+    """The parse type of a field: its non-None type if that is bool, int or
+    float, else str."""
+    kinds = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    return kinds[0] if len(kinds) == 1 and kinds[0] in (bool, int, float) else str
 
 
-def load_config(path, overrides=None):
+_FIELD_TYPES = {name: _field_type(hint)
+                for name, hint in typing.get_type_hints(ScenarioConfig).items()}
+
+
+def load_config(path, overrides=None, defaults=None):
     """Read a configuration file into a :class:`ScenarioConfig`.
 
     ``overrides`` (a dict) wins over the file; per-scenario sections win
-    over ``[run]``.
+    over ``[run]``; ``defaults`` (a dict) fill keys that none of them set.
     """
     path = Path(path)
     if not path.exists():
@@ -87,7 +82,7 @@ def load_config(path, overrides=None):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-    values = {}
+    values = dict(defaults or {})
 
     def apply_section(section):
         for key, raw in parser.items(section):

@@ -584,7 +584,8 @@ def run_scenario(cfg, out_dir=None, scenario=None):
     """Execute one configured run; reduced methods are compared against the
     reference solution. Returns the comparison bundle."""
     if cfg.scenario == "twodof":
-        raise ConfigError("use scenario_twodof for the oscillator demo")
+        raise ConfigError("the two-mass oscillator has no beam run; use "
+                          "'thermrom demo twodof' (scenario_twodof in Python)")
     methods = ("hfm",) if cfg.method == "hfm" else ("hfm", cfg.method)
     out_dir = out_dir if out_dir is not None else cfg.out_dir
     return compare_methods(cfg, methods, scenario=scenario, out_dir=out_dir)

@@ -35,6 +35,30 @@ def test_run_subcommand(tmp_path, monkeypatch):
     assert "mms-o1" in summary["methods"]
 
 
+@pytest.mark.parametrize("file_method, flag, expect", [
+    ("modal-pod", None, "modal-pod"),  # the file's method is used
+    (None, None, "mms-o1"),            # neither sets one: mms-o1
+    ("modal-pod", "mms-o1", "mms-o1"),  # the flag wins over the file
+])
+def test_run_method_from_config_file(file_method, flag, expect, tmp_path, monkeypatch):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nscenario = curved-nonlinear\nn_elements = 12\n"
+                   "k_modes = 2\ndb_points = 5\nbasis_size = 3\n"
+                   + (f"method = {file_method}\n" if file_method else ""))
+    args = ["run", "--config", str(cfg), *SMOKE_ARGS, "--out", str(tmp_path / "run")]
+    if flag:
+        args += ["--method", flag]
+    assert run_cli(args, monkeypatch, tmp_path) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert set(summary["methods"]) == {"hfm", expect}
+
+
+def test_run_twodof_points_to_demo(tmp_path, monkeypatch, capsys):
+    code = run_cli(["run", "--scenario", "twodof"], monkeypatch, tmp_path)
+    assert code == 2
+    assert "thermrom demo twodof" in capsys.readouterr().err
+
+
 def test_run_uses_env_output_root(tmp_path, monkeypatch):
     code = run_cli(["run", "--scenario", "curved-nonlinear", "--method",
                     "modal-pod", "--basis-size", "3", *SMOKE_ARGS],

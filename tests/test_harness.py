@@ -1,5 +1,6 @@
 """Scenario harness: smoke runs, output files, determinism, configuration."""
 
+import dataclasses
 import json
 import logging
 
@@ -215,6 +216,27 @@ def test_config_bad_value_rejected(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.ini")
+
+
+def test_config_parses_every_field_to_its_type(tmp_path):
+    # one non-default value per ScenarioConfig field, written as text
+    values = dict(
+        scenario="straight-linear", eps=2e-3, cycles=3, steps_per_cycle=40,
+        seed=7, method="modal-pod", basis_size=4, out_dir="runs/x",
+        save_states=True, n_elements=30, pulse_height=50.0,
+        pulse_width_fraction=0.15, damping_modulus=2e6, db_points=9, k_modes=3,
+        modal_subset=(1, 4, 7), modal_rank_tol=1e-5, newton_tol=1e-9,
+        max_newton=30, damping_cross_factor=0.5, include_equilibrium_drift=False,
+    )
+    assert set(values) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    text = {k: ",".join(map(str, v)) if isinstance(v, tuple) else repr(v).strip("'")
+            for k, v in values.items()}
+    path = tmp_path / "all.ini"
+    path.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in text.items()))
+    cfg = load_config(path)
+    for key, expect in values.items():
+        got = getattr(cfg, key)
+        assert type(got) is type(expect) and got == expect, key
 
 
 @pytest.mark.parametrize("overrides, warns", [

@@ -1,43 +1,99 @@
-"""Backend equivalence and dispatch of the assembly kernels."""
-
-import subprocess
-import sys
+"""The vectorised element kernels against a scalar-loop reference."""
 
 import numpy as np
 import pytest
-
-from thermrom import kernels
-
-
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not importable")
 
 
 def _random_state(model, rng, scale=2e-4):
     return scale * rng.standard_normal(model.dof_count)
 
 
-@needs_numba
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_backends_agree(beam_curved_nl, beam_curved_lin, rng, nonlinear):
-    model = beam_curved_nl if nonlinear else beam_curved_lin
+# ---------------------------------------------------------------------------
+# scalar reference: one element, one Gauss point, one dof at a time
+# ---------------------------------------------------------------------------
+
+def _gauss_point(u, o, g, ba, bw, bb):
+    up = wp = wpp = 0.0
+    for i in range(6):
+        up += ba[i] * u[o + i]
+        wp += bw[g, i] * u[o + i]
+        wpp += bb[g, i] * u[o + i]
+    return up, wp, wpp
+
+
+def _force_tangent_loop(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
+    n = u.shape[0]
+    f = np.zeros(n)
+    k = np.zeros((n, n))
+    gvec = np.zeros(6)
+    for e in range(n_el):
+        o = 3 * e
+        for g in range(3):
+            up, wp, wpp = _gauss_point(u, o, g, ba, bw, bb)
+            z = z0p[e, g]
+            em = up + z * wp + 0.5 * nl * wp * wp
+            nt = -ea * a_t * t_g[e, g]
+            nax = ea * em + nt
+            ngeo = nl * nax + (1.0 - nl) * nt
+            mb = ei * wpp
+            w = wq[g]
+            lin_nt_wp = (1.0 - nl) * nt * wp
+            for i in range(6):
+                gvec[i] = ba[i] + (z + nl * wp) * bw[g, i]
+            for i in range(6):
+                f[o + i] += w * (gvec[i] * nax + lin_nt_wp * bw[g, i] + bb[g, i] * mb)
+                for j in range(6):
+                    k[o + i, o + j] += w * (
+                        ea * gvec[i] * gvec[j]
+                        + ngeo * bw[g, i] * bw[g, j]
+                        + ei * bb[g, i] * bb[g, j]
+                    )
+    return f, k
+
+
+def _energy_loop(u, n_el, ba, bw, bb, wq, z0p, t_g, ea, ei, a_t, nl):
+    total = 0.0
+    for e in range(n_el):
+        o = 3 * e
+        for g in range(3):
+            up, wp, wpp = _gauss_point(u, o, g, ba, bw, bb)
+            em = up + z0p[e, g] * wp + 0.5 * nl * wp * wp
+            nt = -ea * a_t * t_g[e, g]
+            total += wq[g] * (
+                0.5 * ea * em * em
+                + nt * em
+                + (1.0 - nl) * 0.5 * nt * wp * wp
+                + 0.5 * ei * wpp * wpp
+            )
+    return total
+
+
+def _loop_args(model, u, x_c):
+    p = model.properties
+    t = model.tables
+    return (model._embed(u), p.n_elements, t.ba, t.bw, t.bb, t.wq,
+            model.z0_slope_gauss, model.gauss_temperature(x_c), p.axial_rigidity,
+            p.bending_rigidity, p.thermal_expansion,
+            0.0 if model.linear_kinematics else 1.0)
+
+
+@pytest.mark.parametrize("beam", ["beam_straight_nl", "beam_curved_lin", "beam_curved_nl"])
+def test_kernels_match_scalar_loops(beam, request, rng):
+    model = request.getfixturevalue(beam)
     u = _random_state(model, rng)
     x_c = 0.037
-    old = kernels.get_backend()
-    try:
-        kernels.set_backend("numba")
-        f_nb, k_nb = model.force_and_tangent(u, x_c)
-        e_nb = model.strain_energy(u, x_c)
-        kernels.set_backend("numpy")
-        f_np, k_np = model.force_and_tangent(u, x_c)
-        e_np = model.strain_energy(u, x_c)
-    finally:
-        kernels.set_backend(old)
-    f_scale = np.max(np.abs(f_nb))
-    k_scale = np.max(np.abs(k_nb))
-    assert np.max(np.abs(f_nb - f_np)) < 1e-12 * f_scale
-    assert np.max(np.abs(k_nb - k_np)) < 1e-12 * k_scale
-    assert abs(e_nb - e_np) < 1e-12 * max(abs(e_nb), 1.0)
+    args = _loop_args(model, u, x_c)
+    f_ref, k_ref = _force_tangent_loop(*args)
+    e_ref = _energy_loop(*args)
+    free = model.free_dofs
+
+    f, k = model.force_and_tangent(u, x_c)
+    for got, ref in ((f, f_ref[free]), (model.internal_force(u, x_c), f_ref[free]),
+                     (k, k_ref[np.ix_(free, free)]),
+                     (model.tangent_stiffness(u, x_c), k_ref[np.ix_(free, free)])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    e = model.strain_energy(u, x_c)
+    assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
 
 
 def test_force_matches_force_and_tangent(beam_curved_nl, rng):
@@ -45,22 +101,6 @@ def test_force_matches_force_and_tangent(beam_curved_nl, rng):
     f1 = beam_curved_nl.internal_force(u, 0.02)
     f2, _ = beam_curved_nl.force_and_tangent(u, 0.02)
     np.testing.assert_allclose(f1, f2, rtol=1e-13)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import os; os.environ['THERMROM_NUMBA'] = '0';"
-        "from thermrom import kernels;"
-        "print(kernels.get_backend())"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_energy_gradient_is_force(beam_curved_nl, rng):
@@ -86,19 +126,3 @@ def test_energy_gradient_is_force_linear_mode(beam_curved_lin, rng):
           - model.strain_energy(u - h * du, 0.04)) / (2.0 * h)
     f = model.internal_force(u, 0.04)
     assert abs(de - f @ du) < 1e-5 * max(abs(de), 1e-12)
-
-
-def test_numpy_backend_runs_scenario_end_to_end(tmp_path):
-    # the fallback path drives the whole pipeline, not just single calls
-    from thermrom.scenarios import ScenarioConfig, run_scenario
-
-    old = kernels.get_backend()
-    try:
-        kernels.set_backend("numpy")
-        cfg = ScenarioConfig(scenario="curved-nonlinear", method="mms-o1",
-                             eps=5e-3, cycles=1, steps_per_cycle=20,
-                             n_elements=12, db_points=5, k_modes=2, seed=3)
-        bundle = run_scenario(cfg, out_dir=tmp_path)
-        assert np.isfinite(bundle.errors["mms-o1"]["E_uniform"])
-    finally:
-        kernels.set_backend(old)
