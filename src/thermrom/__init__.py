@@ -39,7 +39,6 @@ from .rom import (
     ConstantBasisRom,
     CorrectionRom,
     FullSystem,
-    InterpolatedBasisSource,
     reconstruct,
 )
 from .scenarios import (

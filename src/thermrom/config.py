@@ -129,11 +129,9 @@ k_modes = 5
 # modal_subset = preset  # or "random", or 1-based indices like 4,7,13
 modal_rank_tol = 1e-4
 
-# integrator and slow-correction flags
+# integrator
 newton_tol = 1e-8
 max_newton = 25
-damping_cross_factor = 1
-include_equilibrium_drift = true
 
 [curved-nonlinear]
 # scenario-specific overrides go here

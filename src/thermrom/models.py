@@ -70,10 +70,6 @@ class SecondOrderModel(ABC):
         """Force and tangent together; override when a fused path is cheaper."""
         return self.internal_force(u, theta), self.tangent_stiffness(u, theta)
 
-    def external_load(self, t: float, eps: float = 0.0) -> np.ndarray:
-        """Applied load at time ``t``; scenarios usually supply their own."""
-        return np.zeros(self.dof_count)
-
     @property
     def characteristic_length(self) -> float:
         """Length scale used for finite-difference step selection."""

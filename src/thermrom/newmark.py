@@ -46,9 +46,13 @@ class NewmarkSettings:
 class TransientSystem(ABC):
     """Residual/tangent provider for the integrator.
 
-    ``begin_step`` lets slowly-varying systems freeze their state (reduction
-    basis, origin) for one step; the default is a no-op. The residual is
-    ``M a + C v + f(u) - g(t)`` in whatever coordinates the system lives in.
+    Time enters a system only through ``begin_step(t_start, t_end)``: there
+    it freezes everything time dependent for one step (temperature, load,
+    reduction basis and origin); the default is a no-op. The integrator
+    calls it once per step, and once as ``begin_step(0, 0)`` before the
+    initial residual, and evaluates every residual and iteration matrix of
+    the step at ``t_end``. The residual is ``M a + C v + f(u) - g`` in
+    whatever coordinates the system lives in.
     """
 
     @property
@@ -62,10 +66,10 @@ class TransientSystem(ABC):
     def mass(self) -> np.ndarray: ...
 
     @abstractmethod
-    def residual(self, u, v, a, t) -> np.ndarray: ...
+    def residual(self, u, v, a) -> np.ndarray: ...
 
     @abstractmethod
-    def iteration_matrix(self, u, v, a, t, c_acc, c_vel) -> np.ndarray:
+    def iteration_matrix(self, u, v, a, c_acc, c_vel) -> np.ndarray:
         """Effective tangent ``c_acc*M + c_vel*C + K_t(u)``."""
 
 
@@ -97,7 +101,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     step_residuals = np.zeros(n_steps + 1)
 
     system.begin_step(0.0, 0.0)
-    rhs0 = -system.residual(u, v, np.zeros(n), 0.0)
+    rhs0 = -system.residual(u, v, np.zeros(n))
     a = np.linalg.solve(system.mass(), rhs0)
     hist_u[0], hist_v[0], hist_a[0] = u, v, a
 
@@ -120,7 +124,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         a1 = np.zeros(n)
         v1 = v_pred.copy()
 
-        r = system.residual(u1, v1, a1, t1)
+        r = system.residual(u1, v1, a1)
         r_ref = np.linalg.norm(r)
         res_hist = [r_ref]
         iters = 0
@@ -131,12 +135,12 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
                     f"{res_hist[-1]:.3e}",
                     step=step, time=t1, residual_history=res_hist,
                 )
-            s_mat = system.iteration_matrix(u1, v1, a1, t1, c_acc, c_vel)
+            s_mat = system.iteration_matrix(u1, v1, a1, c_acc, c_vel)
             du = np.linalg.solve(s_mat, -r)
             u1 += du
             a1 = c_acc * (u1 - u_pred)
             v1 = v_pred + gamma * dt * a1
-            r = system.residual(u1, v1, a1, t1)
+            r = system.residual(u1, v1, a1)
             res_hist.append(np.linalg.norm(r))
             iters += 1
             if np.linalg.norm(du) <= settings.newton_utol * (1.0 + np.linalg.norm(u1)):

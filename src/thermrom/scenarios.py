@@ -36,7 +36,6 @@ from .rom import (
     ConstantBasisRom,
     CorrectionRom,
     FullSystem,
-    InterpolatedBasisSource,
     reconstruct,
 )
 from .spectral import solve_equilibrium, vibration_modes
@@ -129,11 +128,9 @@ class ScenarioConfig:
     # reduced nonlinear dynamics, so they are dropped.
     modal_rank_tol: float = 1e-4
 
-    # integrator and correction flags
+    # integrator
     newton_tol: float = 1e-8
     max_newton: int = 25
-    damping_cross_factor: float = 1.0
-    include_equilibrium_drift: bool = True
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
@@ -363,12 +360,11 @@ class _GridLookup:
         return self._q[k], self._qd[k]
 
 
-def _mms_reconstruction(scn, traj0, traj1=None):
-    source = InterpolatedBasisSource(scn.database)
+def _mms_reconstruction(scn, leading, traj0, traj1=None):
     n_t = traj0.times.size
     out = np.empty((n_t, scn.model.dof_count))
     for i, t in enumerate(traj0.times):
-        v, u_eq = source.basis_at(scn.xc_of_t(t))
+        v, u_eq = leading.basis_at(t)
         q1 = traj1.displacement[i] if traj1 is not None else None
         out[i] = reconstruct(u_eq, v, traj0.displacement[i], q1, scn.config.eps)
     return out
@@ -385,32 +381,24 @@ def _run_hfm(scn):
 
 
 def _run_mms(scn, order):
-    source = InterpolatedBasisSource(scn.database)
     m = scn.database.m
-    # The leading-order model is not kept: its operators are freed before
-    # the correction model builds its own.
+    leading = AdaptiveRom(scn.model, scn.database, scn.tau_of_t, scn.xc_of_tau,
+                          load=scn.leading_load)
     traj0 = newmark_integrate(
-        AdaptiveRom(scn.model, source, scn.tau_of_t, scn.xc_of_tau,
-                    load=scn.leading_load),
-        np.zeros(m), np.zeros(m), scn.dt, scn.n_steps, scn.newmark_settings(),
+        leading, np.zeros(m), np.zeros(m), scn.dt, scn.n_steps, scn.newmark_settings(),
         coordinate_space="reduced:mms-o1", metadata=_run_metadata(scn, "mms-o1"),
     )
     if order == 1:
-        return traj0, _mms_reconstruction(scn, traj0), m
+        return traj0, _mms_reconstruction(scn, leading, traj0), m
 
-    correction = CorrectionRom(
-        scn.model, source, scn.tau_of_t, scn.xc_of_tau,
-        q0_of_t=_GridLookup(traj0), nu=scn.omega_f,
-        eps_load=scn.eps_load, dxc_dtau=scn.dxc_dtau,
-        damping_cross_factor=scn.config.damping_cross_factor,
-        include_equilibrium_drift=scn.config.include_equilibrium_drift,
-    )
+    correction = CorrectionRom(leading, q0_of_t=_GridLookup(traj0), nu=scn.omega_f,
+                               eps_load=scn.eps_load, dxc_dtau=scn.dxc_dtau)
     traj1 = newmark_integrate(
         correction, np.zeros(m), np.zeros(m), scn.dt, scn.n_steps,
         scn.newmark_settings(), coordinate_space="reduced:mms-oeps",
         metadata=_run_metadata(scn, "mms-oeps"),
     )
-    return traj1, _mms_reconstruction(scn, traj0, traj1), m
+    return traj1, _mms_reconstruction(scn, leading, traj0, traj1), m
 
 
 def _constant_basis(scn, method):
@@ -614,7 +602,7 @@ class _TwoDofAdaptiveRom(TransientSystem):
 
     The basis is the lowest eigenvector of ``K(T)`` recomputed from the
     exact 2x2 eigensolve at each step midpoint, with sign continuity from
-    step to step.
+    step to step; the load is projected at the step end.
     """
 
     def __init__(self, model, temp_of_t, load):
@@ -656,15 +644,15 @@ class _TwoDofAdaptiveRom(TransientSystem):
 
     def begin_step(self, t_start, t_end):
         self._set_basis(self.temp_of_t(0.5 * (t_start + t_end)))
+        self._g = np.array([self._phi @ self.load(t_end)])
 
     def mass(self):
         return np.array([[self._m_red]])
 
-    def residual(self, q, qd, qdd, t):
-        return (self._m_red * qdd + self._c_red * qd + self._k_red * q
-                - np.array([self._phi @ self.load(t)]))
+    def residual(self, q, qd, qdd):
+        return self._m_red * qdd + self._c_red * qd + self._k_red * q - self._g
 
-    def iteration_matrix(self, q, qd, qdd, t, c_acc, c_vel):
+    def iteration_matrix(self, q, qd, qdd, c_acc, c_vel):
         return np.array([[c_acc * self._m_red + c_vel * self._c_red + self._k_red]])
 
 

@@ -28,7 +28,7 @@ from thermrom.basisdb import (
 from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse
 from thermrom.metrics import error_uniform
 from thermrom.newmark import newmark_integrate
-from thermrom.rom import AdaptiveRom, ConstantBasisRom, InterpolatedBasisSource
+from thermrom.rom import AdaptiveRom, ConstantBasisRom
 from thermrom.scenarios import (
     ScenarioConfig,
     build_scenario_database,
@@ -318,7 +318,7 @@ def test_criterion_5_property_suite(tmp_path):
     entry = db1.entries[0]
     load_vec = model.uniform_transverse_load(2e2)
     om_f = 0.7 * entry.frequencies[0]
-    rom_a = AdaptiveRom(model, InterpolatedBasisSource(db1),
+    rom_a = AdaptiveRom(model, db1,
                         tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c,
                         load=lambda t: load_vec * np.sin(om_f * t))
     rom_c = ConstantBasisRom(model, entry.matrix, theta_of_t=lambda t: x_c,

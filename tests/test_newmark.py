@@ -14,6 +14,7 @@ class Linear1Dof(TransientSystem):
         self.omega = omega
         self.c = 2.0 * zeta * omega
         self.load = load or (lambda t: np.zeros(1))
+        self._g = None
 
     @property
     def ndof(self):
@@ -22,10 +23,13 @@ class Linear1Dof(TransientSystem):
     def mass(self):
         return np.array([[1.0]])
 
-    def residual(self, u, v, a, t):
-        return a + self.c * v + self.omega**2 * u - self.load(t)
+    def begin_step(self, t_start, t_end):
+        self._g = self.load(t_end)
 
-    def iteration_matrix(self, u, v, a, t, c_acc, c_vel):
+    def residual(self, u, v, a):
+        return a + self.c * v + self.omega**2 * u - self._g
+
+    def iteration_matrix(self, u, v, a, c_acc, c_vel):
         return np.array([[c_acc + c_vel * self.c + self.omega**2]])
 
 
@@ -111,10 +115,10 @@ def test_instability_guard_triggers():
         def mass(self):
             return np.array([[1.0]])
 
-        def residual(self, u, v, a, t):
+        def residual(self, u, v, a):
             return a - 100.0 * u - np.array([1e-3])
 
-        def iteration_matrix(self, u, v, a, t, c_acc, c_vel):
+        def iteration_matrix(self, u, v, a, c_acc, c_vel):
             return np.array([[c_acc - 100.0]])
 
     with pytest.raises(IntegrationError):

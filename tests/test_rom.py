@@ -13,7 +13,6 @@ from thermrom.rom import (
     ConstantBasisRom,
     CorrectionRom,
     FullSystem,
-    InterpolatedBasisSource,
     reconstruct,
 )
 from thermrom.spectral import build_local_basis, solve_equilibrium
@@ -30,7 +29,7 @@ def db_nl(beam_curved_nl):
 def make_adaptive(model, db, eps=1e-3, nu=1.0e4, x0=0.03, amp=0.02, load=None):
     return AdaptiveRom(
         model,
-        InterpolatedBasisSource(db),
+        db,
         tau_of_t=lambda t: eps * nu * t,
         xc_of_tau=lambda tau: x0 + amp * np.sin(tau),
         load=load,
@@ -68,7 +67,8 @@ def test_o1_residual_zero_at_equilibrium(db_nl, beam_curved_nl):
     rom = make_adaptive(beam_curved_nl, db_nl, amp=0.0, x0=db_nl.grid[3])
     m = db_nl.m
     zero = np.zeros(m)
-    r = rom.residual(zero, zero, zero, 0.0)
+    rom.begin_step(0.0, 0.0)
+    r = rom.residual(zero, zero, zero)
     # residual = V' f(u_eq): Newton tolerance of the equilibrium solve
     scale = np.linalg.norm(
         beam_curved_nl.internal_force(db_nl.entries[3].u_eq * 0.0, db_nl.grid[3]))
@@ -84,9 +84,9 @@ def test_o1_linear_constant_basis_shifted_origin_identity(beam_curved_lin, rng):
     basis = build_local_basis(model, x_c, k=3)
     v = basis.matrix
 
-    rom = AdaptiveRom(model, InterpolatedBasisSource(
-        build_database(model, [x_c], k=3)),
-        tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c)
+    rom = AdaptiveRom(model, build_database(model, [x_c], k=3),
+                      tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c)
+    rom.begin_step(0.0, 0.0)
     m_red = v.T @ model.mass() @ v
     c_red = v.T @ model.damping() @ v
     k_red = v.T @ model.tangent_stiffness(u_eq, x_c) @ v
@@ -94,7 +94,7 @@ def test_o1_linear_constant_basis_shifted_origin_identity(beam_curved_lin, rng):
         q = rng.standard_normal(3)
         qd = rng.standard_normal(3)
         qdd = rng.standard_normal(3)
-        r = rom.residual(q, qd, qdd, 0.0)
+        r = rom.residual(q, qd, qdd)
         expect = m_red @ qdd + c_red @ qd + k_red @ q
         np.testing.assert_allclose(r, expect, atol=1e-6 * np.linalg.norm(expect))
 
@@ -170,12 +170,12 @@ def test_reduced_operators_match_projection(model_and_db, where, rng):
     u = u_org + v @ q
     zero = np.zeros(db.m)
 
-    adaptive = AdaptiveRom(model, InterpolatedBasisSource(db),
-                           tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c)
+    adaptive = AdaptiveRom(model, db, tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c)
     constant = ConstantBasisRom(model, v, theta_of_t=lambda t: x_c, u_ref=u_org)
     for rom in (adaptive, constant):
-        _close(rom.residual(q, zero, zero, 0.0), v.T @ model.internal_force(u, x_c))
-        _close(rom.iteration_matrix(q, zero, zero, 0.0, 0.0, 0.0),
+        rom.begin_step(0.0, 0.0)
+        _close(rom.residual(q, zero, zero), v.T @ model.internal_force(u, x_c))
+        _close(rom.iteration_matrix(q, zero, zero, 0.0, 0.0),
                v.T @ model.tangent_stiffness(u, x_c) @ v)
         _close(rom.mass(), v.T @ model.mass() @ v)
         _close(rom._c_red, v.T @ model.damping() @ v)
@@ -205,22 +205,70 @@ def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
         assert np.abs(traj.displacement).max() > 0.0
 
 
+# -- per-step freeze ----------------------------------------------------------------
+
+def test_every_system_reads_its_load_once_per_step(beam_curved_nl, db_nl):
+    # time enters only through begin_step: a 5-step integration reads the
+    # load once for the initial residual and once per step, however many
+    # Newton iterations the steps take
+    model = beam_curved_nl
+    entry = db_nl.entries[3]
+    l_vec = model.uniform_transverse_load(2e2)
+    omega = 0.7 * entry.frequencies[0]
+    calls = []
+
+    def load(t):
+        calls.append(t)
+        return l_vec * np.sin(omega * t)
+
+    m = db_nl.m
+    dt = (2.0 * np.pi / omega) / 40.0
+    leading = make_adaptive(model, db_nl, load=load)
+    systems = {
+        "full": (FullSystem(model, theta_of_t=lambda t: entry.x_c, load=load), entry.u_eq),
+        "adaptive": (leading, np.zeros(m)),
+        "constant": (ConstantBasisRom(model, entry.matrix, theta_of_t=lambda t: entry.x_c,
+                                      load=load, u_ref=entry.u_eq), np.zeros(m)),
+        "correction": (CorrectionRom(make_adaptive(model, db_nl), nu=1.0e4,
+                                     q0_of_t=lambda t: (1e-4 * np.sin(omega * t) * np.ones(m),
+                                                        np.zeros(m)),
+                                     eps_load=load, dxc_dtau=lambda tau: 0.02 * np.cos(tau)),
+                       np.zeros(m)),
+    }
+    for name, (system, u0) in systems.items():
+        calls.clear()
+        newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
+        assert calls == [0.0] + [dt * k for k in range(1, 6)], name
+
+
 # -- slow correction ----------------------------------------------------------------
+
+def _correction_rhs(corr, t):
+    """Right-hand side of the correction frozen for a step ending at ``t``."""
+    corr.begin_step(t, t)
+    zero = np.zeros(corr.ndof)
+    return -corr.residual(zero, zero, zero)
+
+
+def _correction_tangent(corr, t):
+    """Stiffness of the correction frozen for a step ending at ``t``."""
+    corr.begin_step(t, t)
+    zero = np.zeros(corr.ndof)
+    return corr.iteration_matrix(zero, zero, zero, 0.0, 0.0)
+
 
 def test_correction_zero_rhs_for_frozen_pulse(beam_curved_nl, db_nl):
     # stationary pulse and eps-independent load: q1 stays identically zero
     model = beam_curved_nl
     x_c = db_nl.grid[3]
-    rom1 = make_adaptive(model, db_nl, amp=0.0, x0=x_c)
     m = db_nl.m
 
     corr = CorrectionRom(
-        model, InterpolatedBasisSource(db_nl),
-        tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c,
+        make_adaptive(model, db_nl, amp=0.0, x0=x_c),
         q0_of_t=lambda t: (np.zeros(m), np.zeros(m)),
         nu=1.0e4, dxc_dtau=lambda tau: 0.0,
     )
-    assert np.linalg.norm(corr.rhs(0.37)) == 0.0
+    assert np.linalg.norm(_correction_rhs(corr, 0.37)) == 0.0
     traj = newmark_integrate(corr, np.zeros(m), np.zeros(m), 1e-5, 50)
     assert np.abs(traj.displacement).max() <= 1e-12
 
@@ -234,24 +282,23 @@ def test_correction_small_forcing_includes_eps_load(beam_curved_nl, db_nl):
     l_vec = model.uniform_transverse_load(5e2)
 
     corr = CorrectionRom(
-        model, InterpolatedBasisSource(db_nl),
-        tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: x_c,
+        make_adaptive(model, db_nl, amp=0.0, x0=x_c),
         q0_of_t=lambda t: (np.zeros(m), np.zeros(m)),
         nu=1.0e4, eps_load=lambda t: l_vec * np.cos(3.0 * t),
         dxc_dtau=lambda tau: 0.0,
     )
-    v, _ = corr.source.basis_at(x_c)
+    v, _ = interpolate_basis(db_nl, x_c)
     expect = v.T @ (l_vec * np.cos(0.6))
-    np.testing.assert_allclose(corr.rhs(0.2), expect,
+    np.testing.assert_allclose(_correction_rhs(corr, 0.2), expect,
                                atol=1e-12 * np.abs(expect).max())
 
 
 def test_correction_rhs_matches_2d_finite_difference_oracle(beam_curved_nl, db_nl):
     # brute-force oracle: finite-difference u0(t, tau) on a (t, tau) stencil.
-    # The source derivative uses a stencil smaller than the oracle's so that
-    # both sample the same interpolation cell.
+    # At t* the pulse sits at the midpoint of a grid cell, where the basis
+    # derivative's half-cell stencil gives the cell's exact slope, and the
+    # oracle's stencil stays inside the same cell.
     model = beam_curved_nl
-    src = InterpolatedBasisSource(db_nl, derivative_delta=1e-5)
     m = db_nl.m
     eps, nu = 1e-3, 1.1e4
     x0, amp = 0.04, 0.015
@@ -266,21 +313,17 @@ def test_correction_rhs_matches_2d_finite_difference_oracle(beam_curved_nl, db_n
     def xc_of_tau(tau):
         return x0 + amp * np.sin(tau)
 
-    corr = CorrectionRom(
-        model, src,
-        tau_of_t=lambda t: eps * nu * t, xc_of_tau=xc_of_tau,
-        q0_of_t=q0_of_t, nu=nu,
-        dxc_dtau=lambda tau: amp * np.cos(tau),
-        damping_cross_factor=1.0, include_equilibrium_drift=True,
-    )
-    t_star = 0.019
-    corr.begin_step(t_star, t_star)
-    rhs = corr.rhs(t_star)
-
-    tau_star = eps * nu * t_star
+    leading = AdaptiveRom(model, db_nl, tau_of_t=lambda t: eps * nu * t,
+                          xc_of_tau=xc_of_tau)
+    corr = CorrectionRom(leading, q0_of_t=q0_of_t, nu=nu,
+                         dxc_dtau=lambda tau: amp * np.cos(tau))
+    x_mid = 0.5 * (db_nl.grid[2] + db_nl.grid[3])
+    tau_star = np.arcsin((x_mid - x0) / amp)
+    t_star = tau_star / (eps * nu)
+    rhs = _correction_rhs(corr, t_star)
 
     def u0_field(t, tau):
-        v, u_eq = src.basis_at(xc_of_tau(tau))
+        v, u_eq = interpolate_basis(db_nl, xc_of_tau(tau))
         return u_eq + v @ q0_of_t(t)[0]
 
     d_tau = 1e-6
@@ -291,7 +334,7 @@ def test_correction_rhs_matches_2d_finite_difference_oracle(beam_curved_nl, db_n
             - u0_field(t_star + d_t, tau_star - d_tau)
             - u0_field(t_star - d_t, tau_star + d_tau)
             + u0_field(t_star - d_t, tau_star - d_tau)) / (4.0 * d_t * d_tau)
-    v, _ = src.basis_at(xc_of_tau(tau_star))
+    v, _ = interpolate_basis(db_nl, xc_of_tau(tau_star))
     oracle = v.T @ (
         -2.0 * nu * (model.mass() @ d2u0)
         - 1.0 * nu * (model.damping() @ du0_dtau)
@@ -301,22 +344,21 @@ def test_correction_rhs_matches_2d_finite_difference_oracle(beam_curved_nl, db_n
 
 def test_correction_tangent_projection_oracle(beam_curved_nl, db_nl, rng):
     model = beam_curved_nl
-    src = InterpolatedBasisSource(db_nl)
     m = db_nl.m
     q_fixed = 1e-4 * rng.standard_normal(m)
 
+    leading = AdaptiveRom(model, db_nl, tau_of_t=lambda t: 0.1,
+                          xc_of_tau=lambda tau: 0.045)
     corr = CorrectionRom(
-        model, src,
-        tau_of_t=lambda t: 0.1, xc_of_tau=lambda tau: 0.045,
+        leading,
         q0_of_t=lambda t: (q_fixed * np.cos(100.0 * t), np.zeros(m)),
         nu=1.0e4, dxc_dtau=lambda tau: 0.0,
     )
+    v, u_eq = interpolate_basis(db_nl, 0.045)
     for t in rng.uniform(0.0, 1.0, size=4):
-        corr.begin_step(t, t)
-        v, u_eq = src.basis_at(0.045)
         u0 = u_eq + v @ (q_fixed * np.cos(100.0 * t))
         expect = v.T @ model.tangent_stiffness(u0, 0.045) @ v
-        got = corr.tangent(t)
+        got = _correction_tangent(corr, t)
         np.testing.assert_allclose(got, expect, rtol=1e-10)
         assert np.allclose(got, got.T)
 
@@ -330,14 +372,11 @@ def test_correction_tangent_constant_for_linear(beam_curved_lin):
     def q0_of_t(t):
         return rng.standard_normal(m) * 0.0, np.zeros(m)
 
-    corr = CorrectionRom(
-        model, InterpolatedBasisSource(db),
-        tau_of_t=lambda t: 0.0, xc_of_tau=lambda tau: db.grid[2],
-        q0_of_t=q0_of_t, nu=1e4, dxc_dtau=lambda tau: 0.0,
-    )
-    k1 = corr.tangent(0.0)
-    corr.begin_step(0.5, 0.5)
-    k2 = corr.tangent(0.5)
+    leading = AdaptiveRom(model, db, tau_of_t=lambda t: 0.0,
+                          xc_of_tau=lambda tau: db.grid[2])
+    corr = CorrectionRom(leading, q0_of_t=q0_of_t, nu=1e4, dxc_dtau=lambda tau: 0.0)
+    k1 = _correction_tangent(corr, 0.0)
+    k2 = _correction_tangent(corr, 0.5)
     np.testing.assert_allclose(k1, k2, rtol=1e-12)
 
 
