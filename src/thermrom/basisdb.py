@@ -224,13 +224,12 @@ def cell_weight(db, x_c):
     return j, (x - grid[j]) / (grid[j + 1] - grid[j])
 
 
-def interpolate_basis(db, x_c, reorthonormalize=False):
+def interpolate_basis(db, x_c):
     """Entrywise piecewise-linear interpolation of the basis and equilibrium.
 
     Requires an aligned database; positions outside the grid are clamped to
     the nearest end with a logged warning. On a grid node the stored entry is
-    returned verbatim. No re-orthonormalization is performed unless
-    explicitly requested (sensitivity studies only).
+    returned verbatim. The blend is not re-orthonormalized.
     """
     if not db.aligned:
         raise ContractError("cannot interpolate a raw (unaligned) database")
@@ -244,9 +243,6 @@ def interpolate_basis(db, x_c, reorthonormalize=False):
     else:
         v = (1.0 - w) * db.entries[j].matrix + w * db.entries[j + 1].matrix
         u = (1.0 - w) * db.entries[j].u_eq + w * db.entries[j + 1].u_eq
-    if reorthonormalize:
-        q, r = np.linalg.qr(v)
-        v = q * np.sign(np.diag(r))
     return v, u
 
 

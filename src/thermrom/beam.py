@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import mmwrite
 
 from . import kernels
 from .errors import ContractError
@@ -194,7 +193,7 @@ class BeamModel(SecondOrderModel):
         self._z0p_flat = self.z0_slope_gauss.ravel()
 
         self._mass_full = self._assemble_mass_full()
-        self._mass = self._reduce_matrix(self._mass_full)
+        self._mass = np.ascontiguousarray(self._mass_full[self._free, self._free])
         # Kelvin-Voigt material damping: cold reference stiffness with the
         # elastic modulus replaced by the damping modulus.
         k_cold = self.tangent_stiffness(np.zeros(self.dof_count), None)
@@ -240,9 +239,6 @@ class BeamModel(SecondOrderModel):
         return tuple(int(i) for i in pos)
 
     # -- assembly -----------------------------------------------------------
-
-    def _reduce_matrix(self, m_full):
-        return np.ascontiguousarray(m_full[self._free, self._free])
 
     def _embed(self, u):
         u = np.asarray(u, dtype=float)
@@ -292,12 +288,22 @@ class BeamModel(SecondOrderModel):
         return f[self._free]
 
     def tangent_stiffness(self, u, theta):
-        _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
-        return self._reduce_matrix(k)
+        return kernels.band_to_dense(self.tangent_band(u, theta))
 
     def force_and_tangent(self, u, theta):
         f, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
-        return f[self._free], self._reduce_matrix(k)
+        return f[self._free], kernels.band_to_dense(k[:, self._free])
+
+    @property
+    def half_bandwidth(self) -> int:
+        return kernels.HALF_BANDWIDTH
+
+    def tangent_band(self, u, theta):
+        # Band columns are matrix columns, so slicing them keeps the free
+        # dofs; the corners then hold couplings to the clamped dofs, which
+        # band storage ignores.
+        _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
+        return k[:, self._free]
 
     # -- reduced evaluation -------------------------------------------------
 
@@ -363,19 +369,3 @@ class BeamModel(SecondOrderModel):
         for e in range(self.properties.n_elements):
             f[3 * e: 3 * e + 6] += f_el
         return f[self._free] if reduce else f
-
-    def export_matrices(self, directory, theta=None, u=None):
-        """Write M, C and the tangent stiffness as Matrix Market files."""
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        if u is None:
-            u = np.zeros(self.dof_count)
-        mmwrite(str(directory / "mass.mtx"), self.mass(), precision=17)
-        mmwrite(str(directory / "damping.mtx"), self.damping(), precision=17)
-        mmwrite(
-            str(directory / "stiffness.mtx"),
-            self.tangent_stiffness(u, theta),
-            precision=17,
-        )

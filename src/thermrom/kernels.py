@@ -20,7 +20,7 @@ numpy path evaluates it for both models:
 
 * full: the rows are the element shape rows ``ba``, ``bw_g``, ``bb_g``,
   batched over elements and Gauss points; the element vectors and blocks
-  are scattered into the unconstrained force and tangent
+  are added into the unconstrained force and the banded tangent
   (:func:`beam_force`, :func:`beam_force_and_tangent`);
 * reduced: for ``u = u_org + V q`` the gradients are linear in ``q``.
   Offline, :func:`gauss_rows` applies the shape rows to every element block
@@ -31,7 +31,26 @@ numpy path evaluates it for both models:
   and the state-independent bending block ``K_bend`` passed in. Nothing of
   size ``n`` is assembled or projected.
 
-The full kernels fix their floating-point operation order: one
+The full tangent is returned in LAPACK band storage. An element couples
+the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
+and the half-bandwidth is :data:`HALF_BANDWIDTH` ``p = 5``. The band
+``ab`` has shape ``(2p+1, n)`` with ``ab[p + i - j, j] = K[i, j]``:
+column ``j`` of ``ab`` holds column ``j`` of ``K`` from row ``j - p`` down
+to ``j + p`` and the main diagonal is row ``p``. The corner entries, whose
+row ``i`` falls outside ``[0, n)``, are zero here but are read neither by
+LAPACK nor by :func:`band_to_dense`, so slicing band columns restricts the
+matrix to a contiguous range of dofs. :func:`band_to_dense` and
+:func:`dense_to_band` convert between the two layouts, and
+``scipy.linalg.solve_banded((p, p), ab, b)`` solves with it.
+
+The element vectors and blocks are added in two passes, even elements
+first, then odd elements. Within a pass no two elements share a dof, so
+each pass is one block add with no index collisions. On a mesh of 2-node,
+3-dof elements every force and tangent entry receives at most two
+element contributions, and ``0 + a + b`` equals ``0 + b + a`` exactly, so
+the order of the scatter does not change a bit of the result.
+
+The element arithmetic is another matter and stays fixed: one
 matrix-vector product per gradient row, the bending block summed per Gauss
 point, the Gauss sum in order. The scenario set-up amplifies round-off in
 the full force and tangent by many orders of magnitude, through the
@@ -45,8 +64,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "HALF_BANDWIDTH",
     "ElementTables",
     "get_backend",
+    "band_to_dense",
+    "dense_to_band",
     "beam_force",
     "beam_force_and_tangent",
     "beam_strain_energy",
@@ -58,6 +80,11 @@ __all__ = [
 # 3-point Gauss rule on the unit interval [0, 1].
 _GAUSS_XI = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+#: Half-bandwidth of the full tangent: an element couples dofs ``3e .. 3e+5``.
+HALF_BANDWIDTH = 5
+# Band row of entry (a, b) of a 6 x 6 element block.
+_BAND_ROW = HALF_BANDWIDTH + np.arange(6)[:, None] - np.arange(6)[None, :]
 
 
 def get_backend() -> str:
@@ -135,7 +162,45 @@ def _weak_form(up, wp, wpp, z0p, t_g, ea, ei, a_t, nl):
 
 
 # ---------------------------------------------------------------------------
-# full model: element batches scattered into unconstrained vectors
+# band storage
+# ---------------------------------------------------------------------------
+
+def _diagonals(p, n):
+    """For each band row ``r``: the band columns it holds inside an
+    ``n x n`` matrix, and the flat positions of that diagonal
+    (``i - j = r - p``) in a C-ordered ``n x n`` array, both as slices.
+    Rows whose diagonal lies outside the matrix (``|r - p| >= n``) are
+    skipped."""
+    for r in range(2 * p + 1):
+        d = r - p
+        j0, j1 = max(0, -d), min(n, n - d)
+        if j0 < j1:
+            yield r, slice(j0, j1), slice((j0 + d) * n + j0, (j1 + d) * n + j1, n + 1)
+
+
+def band_to_dense(ab):
+    """The square matrix held in band storage ``ab`` (corners ignored)."""
+    p, n = ab.shape[0] // 2, ab.shape[1]
+    a = np.zeros((n, n))
+    flat = a.reshape(-1)
+    for r, cols, diag in _diagonals(p, n):
+        flat[diag] = ab[r, cols]
+    return a
+
+
+def dense_to_band(a, p):
+    """Band storage with half-bandwidth ``p`` of the square matrix ``a``;
+    entries further than ``p`` from the diagonal are dropped."""
+    n = a.shape[0]
+    ab = np.zeros((2 * p + 1, n))
+    flat = np.ravel(a)
+    for r, cols, diag in _diagonals(p, n):
+        ab[r, cols] = flat[diag]
+    return ab
+
+
+# ---------------------------------------------------------------------------
+# full model: element batches added into unconstrained vectors and bands
 # ---------------------------------------------------------------------------
 
 def _dof_index(n_el: int) -> np.ndarray:
@@ -143,23 +208,22 @@ def _dof_index(n_el: int) -> np.ndarray:
 
 
 def _element_state(u_full, tables):
-    """Element dof indices and ``(u', w', w'')`` at the Gauss points, shapes
-    ``(n_el, 1)``, ``(n_el, 3)`` and ``(n_el, 3)``. One matrix-vector
-    product per row: a matrix-matrix product rounds differently."""
-    idx = _dof_index(u_full.shape[0] // 3 - 1)
-    u_el = u_full[idx]
+    """``(u', w', w'')`` at the Gauss points, shapes ``(n_el, 1)``,
+    ``(n_el, 3)`` and ``(n_el, 3)``. One matrix-vector product per row: a
+    matrix-matrix product rounds differently."""
+    u_el = u_full[_dof_index(u_full.shape[0] // 3 - 1)]
     wp, wpp = (np.stack([u_el @ row for row in rows], axis=1)
                for rows in (tables.bw, tables.bb))
-    return idx, (u_el @ tables.ba)[:, None], wp, wpp
+    return (u_el @ tables.ba)[:, None], wp, wpp
 
 
 def _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear):
-    """Element dof indices, the membrane rows ``G`` (n_el, 3, 6), the force
-    resultants and ``N_geo`` at every Gauss point."""
-    idx, up, wp, wpp = _element_state(u_full, tables)
+    """The membrane rows ``G`` (n_el, 3, 6), the force resultants and
+    ``N_geo`` at every Gauss point."""
+    up, wp, wpp = _element_state(u_full, tables)
     slope, resultants, ngeo = _weak_form(up, wp, wpp, z0p, t_gauss, ea, ei, alpha_t,
                                          float(nonlinear))
-    return idx, tables.ba + slope[..., None] * tables.bw, resultants, ngeo
+    return tables.ba + slope[..., None] * tables.bw, resultants, ngeo
 
 
 def _element_force(tables, gmat, resultants):
@@ -168,38 +232,58 @@ def _element_force(tables, gmat, resultants):
     return (tables.wq[:, None] * (gmat * nax + lin * tables.bw + mb * tables.bb)).sum(axis=1)
 
 
-def _scatter_force(idx, f_el, n):
-    f = np.zeros(n)
-    np.add.at(f, idx, f_el)
-    return f
-
-
-def beam_force(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
-    """Unconstrained internal force vector (thermal load included)."""
-    idx, gmat, resultants, _ = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
-                                                  alpha_t, nonlinear)
-    return _scatter_force(idx, _element_force(tables, gmat, resultants), u_full.shape[0])
-
-
-def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
-    """Internal force and its consistent tangent, both unconstrained."""
-    idx, gmat, resultants, ngeo = _element_weak_form(u_full, tables, z0p, t_gauss, ea,
-                                                     ei, alpha_t, nonlinear)
+def _element_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t,
+                               nonlinear=True):
+    """Element force vectors (n_el, 6) and tangent blocks (n_el, 6, 6)."""
+    gmat, resultants, ngeo = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
+                                                alpha_t, nonlinear)
     k_el = (tables.wq[:, None, None] * (
         ea * gmat[..., :, None] * gmat[..., None, :]
         + ngeo[..., None, None] * tables.bwbw
         + ei * tables.bbbb
     )).sum(axis=1)
+    return _element_force(tables, gmat, resultants), k_el
+
+
+def _add_element_blocks(out, blocks):
+    """Add per-element ``blocks`` (n_el, 6) or (n_el, k, 6), whose last axis
+    runs over the element's dofs ``3e .. 3e+5``, into the last axis of
+    ``out``: even elements, then odd elements. The dofs of one pass are
+    disjoint and contiguous, so each pass adds into one view of ``out``
+    (the reshape splits only the unit-stride last axis: it never copies)."""
+    for first in (0, 1):
+        part = blocks[first::2].swapaxes(0, -2)
+        width = 6 * part.shape[-2]
+        view = out[..., 3 * first: 3 * first + width].reshape(part.shape)
+        view += part
+    return out
+
+
+def beam_force(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
+    """Unconstrained internal force vector (thermal load included)."""
+    gmat, resultants, _ = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
+                                             alpha_t, nonlinear)
+    return _add_element_blocks(np.zeros(u_full.shape[0]),
+                               _element_force(tables, gmat, resultants))
+
+
+def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
+    """Internal force and its consistent tangent, both unconstrained; the
+    tangent in band storage of half-bandwidth :data:`HALF_BANDWIDTH`."""
+    f_el, k_el = _element_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei,
+                                            alpha_t, nonlinear)
     n = u_full.shape[0]
-    k = np.zeros((n, n))
-    np.add.at(k, (idx[:, :, None], idx[:, None, :]), k_el)
-    return _scatter_force(idx, _element_force(tables, gmat, resultants), n), k
+    # Column b of an element block lands in band column 3e + b, rows p + a - b.
+    band_el = np.zeros((k_el.shape[0], 2 * HALF_BANDWIDTH + 1, 6))
+    band_el[:, _BAND_ROW, np.arange(6)] = k_el
+    return (_add_element_blocks(np.zeros(n), f_el),
+            _add_element_blocks(np.zeros((2 * HALF_BANDWIDTH + 1, n)), band_el))
 
 
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
     """Potential whose gradient is :func:`beam_force` (frozen temperature)."""
     nl = float(nonlinear)
-    _, up, wp, wpp = _element_state(u_full, tables)
+    up, wp, wpp = _element_state(u_full, tables)
     em, nt = _membrane(up, wp, z0p, t_gauss, ea, alpha_t, nl)
     return float(np.sum(tables.wq * (
         0.5 * ea * em * em + nt * em + (1.0 - nl) * 0.5 * nt * wp * wp

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .kernels import dense_to_band
 
 __all__ = [
     "SecondOrderModel",
@@ -69,6 +70,18 @@ class SecondOrderModel(ABC):
     def force_and_tangent(self, u, theta):
         """Force and tangent together; override when a fused path is cheaper."""
         return self.internal_force(u, theta), self.tangent_stiffness(u, theta)
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Largest ``|i - j|`` with a nonzero entry in the mass, damping or
+        tangent; the default treats them as dense."""
+        return self.dof_count - 1
+
+    def tangent_band(self, u, theta):
+        """:meth:`tangent_stiffness` in LAPACK band storage of half-bandwidth
+        ``p = half_bandwidth``: ``ab[p + i - j, j] = K[i, j]`` (see
+        :mod:`thermrom.kernels`). Override when the band is cheaper to build."""
+        return dense_to_band(self.tangent_stiffness(u, theta), self.half_bandwidth)
 
     @property
     def characteristic_length(self) -> float:

@@ -70,7 +70,13 @@ class TransientSystem(ABC):
 
     @abstractmethod
     def iteration_matrix(self, u, v, a, c_acc, c_vel) -> np.ndarray:
-        """Effective tangent ``c_acc*M + c_vel*C + K_t(u)``."""
+        """Effective tangent ``c_acc*M + c_vel*C + K_t(u)``, in whatever
+        storage :meth:`solve` takes."""
+
+    def solve(self, s_mat, rhs) -> np.ndarray:
+        """Solve ``s_mat x = rhs`` for an :meth:`iteration_matrix`; dense
+        by default."""
+        return np.linalg.solve(s_mat, rhs)
 
 
 def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
@@ -136,7 +142,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
                     step=step, time=t1, residual_history=res_hist,
                 )
             s_mat = system.iteration_matrix(u1, v1, a1, c_acc, c_vel)
-            du = np.linalg.solve(s_mat, -r)
+            du = system.solve(s_mat, -r)
             u1 += du
             a1 = c_acc * (u1 - u_pred)
             v1 = v_pred + gamma * dt * a1

@@ -50,8 +50,10 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative
+from .kernels import dense_to_band
 from .newmark import TransientSystem
 
 __all__ = [
@@ -81,6 +83,10 @@ class FullSystem(TransientSystem):
     the two-mass oscillator alike; temperature-following damping is handled
     through ``model.damping(theta)``. The temperature, the damping and the
     load are frozen at ``t_end`` of each step.
+
+    The iteration matrix is kept in band storage of the model's
+    ``half_bandwidth`` and solved with a banded LU, so a Newton iteration
+    costs O(n) for the beam; the residual uses the dense ``M`` and ``C``.
     """
 
     def __init__(self, model, theta_of_t=None, load=None, temperature_damping=False):
@@ -88,8 +94,11 @@ class FullSystem(TransientSystem):
         self.theta_of_t = theta_of_t or (lambda t: None)
         self.load = load or (lambda t: np.zeros(model.dof_count))
         self.temperature_damping = temperature_damping
+        self._p = model.half_bandwidth
         self._mass = model.mass()
-        self._damping = None if temperature_damping else model.damping()
+        self._mass_band = dense_to_band(self._mass, self._p)
+        if not temperature_damping:
+            self._set_damping(model.damping())
 
     @property
     def ndof(self):
@@ -98,10 +107,14 @@ class FullSystem(TransientSystem):
     def mass(self):
         return self._mass
 
+    def _set_damping(self, damping):
+        self._damping = damping
+        self._damping_band = dense_to_band(damping, self._p)
+
     def begin_step(self, t_start, t_end):
         self._theta = self.theta_of_t(t_end)
         if self.temperature_damping:
-            self._damping = self.model.damping(self._theta)
+            self._set_damping(self.model.damping(self._theta))
         self._g = self.load(t_end)
 
     def residual(self, u, v, a):
@@ -109,8 +122,11 @@ class FullSystem(TransientSystem):
                 + self.model.internal_force(u, self._theta) - self._g)
 
     def iteration_matrix(self, u, v, a, c_acc, c_vel):
-        return (c_acc * self._mass + c_vel * self._damping
-                + self.model.tangent_stiffness(u, self._theta))
+        return (c_acc * self._mass_band + c_vel * self._damping_band
+                + self.model.tangent_band(u, self._theta))
+
+    def solve(self, s_mat, rhs):
+        return solve_banded((self._p, self._p), s_mat, rhs)
 
 
 class AdaptiveRom(TransientSystem):

@@ -529,6 +529,8 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
             name: {
                 "basis_size": res.basis_size,
                 "runtime_s": res.runtime,
+                **{k: res.trajectory.metadata[k]
+                   for k in ("max_newton_iterations", "max_step_residual")},
                 **({k: v for k, v in errors[name].items() if k != "instant"}
                    if name in errors else {}),
             }

@@ -186,12 +186,6 @@ def test_orthogonality_drift_at_midpoints(db_curved_vm):
     assert worst <= 0.1
 
 
-def test_reorthonormalize_flag(db_curved_vm):
-    g = db_curved_vm.grid
-    v, _ = interpolate_basis(db_curved_vm, 0.5 * (g[0] + g[1]), reorthonormalize=True)
-    np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-12)
-
-
 # -- slow derivative ----------------------------------------------------------------
 
 def test_derivative_exact_inside_cell(db_curved_small):

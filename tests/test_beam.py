@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.io import mmread
 
 from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse, pulse_center, pulse_temperature
 from thermrom.errors import ContractError
@@ -269,16 +268,6 @@ def test_load_density_must_be_finite(beam60_straight):
 def test_dimension_mismatch_raises(beam_straight_nl):
     with pytest.raises(ContractError):
         beam_straight_nl.internal_force(np.zeros(3), 0.05)
-
-
-def test_matrix_market_export_roundtrip(tmp_path, beam_curved_nl):
-    model = beam_curved_nl
-    model.export_matrices(tmp_path, theta=0.05)
-    m = np.asarray(mmread(str(tmp_path / "mass.mtx")))
-    assert m.tobytes() == model.mass().tobytes()
-    k = np.asarray(mmread(str(tmp_path / "stiffness.mtx")))
-    expected = model.tangent_stiffness(np.zeros(model.dof_count), 0.05)
-    assert k.tobytes() == expected.tobytes()
 
 
 def test_curved_initial_shape(beam_curved_nl):

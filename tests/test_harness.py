@@ -45,6 +45,11 @@ def test_smoke_runs_and_writes_declared_files(smoke_bundle):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == "curved-nonlinear"
     assert "E_uniform" in summary["methods"]["mms-o1"]
+    # the Newton report of each method is that of its trajectory
+    for name, res in bundle.results.items():
+        row, traj = summary["methods"][name], res.trajectory
+        assert row["max_newton_iterations"] == traj.metadata["max_newton_iterations"] >= 1
+        assert row["max_step_residual"] == float(traj.step_residuals.max())
 
 
 def test_smoke_probe_csv_time_axis(smoke_bundle):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from thermrom import kernels
+
 
 def _random_state(model, rng, scale=2e-4):
     return scale * rng.standard_normal(model.dof_count)
@@ -94,6 +96,61 @@ def test_kernels_match_scalar_loops(beam, request, rng):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     e = model.strain_energy(u, x_c)
     assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
+
+
+def test_band_storage_matches_its_definition(rng):
+    # ab[p + i - j, j] = K[i, j] inside the band, zero elsewhere; includes
+    # bands wider than the matrix
+    for n in range(1, 9):
+        for p in range(8):
+            a = rng.standard_normal((n, n))
+            ab = kernels.dense_to_band(a, p)
+            expected_ab = np.zeros((2 * p + 1, n))
+            banded = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if abs(i - j) <= p:
+                        expected_ab[p + i - j, j] = banded[i, j] = a[i, j]
+            assert np.array_equal(ab, expected_ab)
+            assert np.array_equal(kernels.band_to_dense(ab), banded)
+
+
+def _dense_add_at(model, u, x_c):
+    """Unconstrained force and dense tangent from the element vectors and
+    blocks, scattered element by element with ``np.add.at``."""
+    f_el, k_el = kernels._element_force_and_tangent(*model._kernel_args(u, x_c))
+    idx = 3 * np.arange(k_el.shape[0])[:, None] + np.arange(6)
+    n = model.n_full
+    f, k = np.zeros(n), np.zeros((n, n))
+    np.add.at(f, idx, f_el)
+    np.add.at(k, (idx[:, :, None], idx[:, None, :]), k_el)
+    return f, k
+
+
+@pytest.mark.parametrize("beam", ["beam_straight_nl", "beam_curved_lin", "beam_curved_nl"])
+def test_band_assembly_is_bit_identical_to_dense_scatter(beam, request, rng):
+    # every entry gets at most two element contributions, so the two-pass
+    # block add into band storage reproduces the dense scatter exactly
+    model = request.getfixturevalue(beam)
+    free = model.free_dofs
+    p = kernels.HALF_BANDWIDTH
+    for _ in range(3):
+        u = _random_state(model, rng)
+        for x_c in (None, 0.037, 0.06):
+            f_ref, k_ref = _dense_add_at(model, u, x_c)
+            f_full, band_full = kernels.beam_force_and_tangent(*model._kernel_args(u, x_c))
+            assert band_full.shape == (2 * p + 1, model.n_full)
+            assert np.array_equal(f_full, f_ref)
+            assert np.array_equal(kernels.band_to_dense(band_full), k_ref)
+            assert np.array_equal(kernels.dense_to_band(k_ref, p), band_full)
+
+            f, k = model.force_and_tangent(u, x_c)
+            k_free = k_ref[np.ix_(free, free)]
+            assert np.array_equal(f, f_ref[free])
+            assert np.array_equal(model.internal_force(u, x_c), f_ref[free])
+            assert np.array_equal(k, k_free)
+            assert np.array_equal(model.tangent_stiffness(u, x_c), k_free)
+            assert np.array_equal(kernels.band_to_dense(model.tangent_band(u, x_c)), k_free)
 
 
 def test_force_matches_force_and_tangent(beam_curved_nl, rng):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from thermrom.beam import BeamModel
 from thermrom.errors import ContractError, IntegrationError
 from thermrom.models import TwoDofModel
 from thermrom.newmark import NewmarkSettings, TransientSystem, newmark_integrate
@@ -138,6 +139,46 @@ def test_step_residuals_below_tolerance(beam_curved_nl):
     traj = newmark_integrate(system, u_eq, np.zeros_like(u_eq), 2e-6, 200, settings)
     assert traj.step_residuals is not None
     assert traj.metadata["max_newton_iterations"] <= settings.max_newton
+
+
+class _DenseFullSystem(FullSystem):
+    """The full model with a dense iteration matrix and a dense LU."""
+
+    def iteration_matrix(self, u, v, a, c_acc, c_vel):
+        return (c_acc * self.model.mass() + c_vel * self.model.damping()
+                + self.model.tangent_stiffness(u, self._theta))
+
+    def solve(self, s_mat, rhs):
+        return np.linalg.solve(s_mat, rhs)
+
+
+def _forced_arch_run(model, system_type):
+    from thermrom.spectral import solve_equilibrium
+
+    u_eq = solve_equilibrium(model, 0.05)
+    load = model.uniform_transverse_load(1e3)
+    system = system_type(model, theta_of_t=lambda t: 0.03 + 2e2 * t,
+                         load=lambda t: load * np.sin(4e4 * t))
+    return newmark_integrate(system, u_eq, np.zeros_like(u_eq), 2e-6, 100)
+
+
+def test_full_system_never_assembles_a_dense_tangent(beam_curved_nl, monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("dense tangent assembled by the full model")
+
+    monkeypatch.setattr(BeamModel, "tangent_stiffness", trap)
+    traj = _forced_arch_run(beam_curved_nl, FullSystem)
+    assert traj.metadata["max_newton_iterations"] >= 1
+    assert np.all(np.isfinite(traj.displacement))
+
+
+def test_banded_solve_matches_dense_solve(beam_curved_nl):
+    banded = _forced_arch_run(beam_curved_nl, FullSystem)
+    dense = _forced_arch_run(beam_curved_nl, _DenseFullSystem)
+    assert dense.metadata["max_newton_iterations"] >= 1
+    for name in ("displacement", "velocity", "acceleration"):
+        got, ref = getattr(banded, name), getattr(dense, name)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_energy_conservation_undamped_frozen_pulse():
