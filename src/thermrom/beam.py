@@ -271,9 +271,13 @@ class BeamModel(SecondOrderModel):
         return self._damping
 
     def _kernel_args(self, u, theta):
+        return (self._embed(u), *self._frozen_args(theta))
+
+    def _frozen_args(self, theta):
+        """The kernel arguments after the displacement, at temperature
+        ``theta``."""
         p = self.properties
         return (
-            self._embed(u),
             self.tables,
             self.z0_slope_gauss,
             self.gauss_temperature(theta),
@@ -304,6 +308,16 @@ class BeamModel(SecondOrderModel):
         # band storage ignores.
         _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
         return k[:, self._free]
+
+    def linearization(self, theta):
+        # The Gauss-point temperatures are evaluated here, once per theta.
+        args = self._frozen_args(theta)
+        free = self._free
+
+        def linearize(u):
+            f, tangent = kernels.beam_linearization(self._embed(u), *args)
+            return f[free], lambda: tangent()[:, free]
+        return linearize
 
     # -- reduced evaluation -------------------------------------------------
 
@@ -338,17 +352,13 @@ class BeamModel(SecondOrderModel):
         return (self._wq_gauss, self._z0p_flat, t_gauss.ravel(), p.axial_rigidity,
                 p.bending_rigidity, p.thermal_expansion)
 
-    def reduced_force(self, rows, offset, q, t_gauss):
-        """``V'f(u_org + V q)`` at the Gauss temperatures ``t_gauss``
-        (see :meth:`gauss_temperature`), from :meth:`reduced_rows`."""
-        return kernels.reduced_force(q, rows, offset, *self._reduced_args(t_gauss),
-                                     nonlinear=not self.linear_kinematics)
-
-    def reduced_tangent(self, rows, offset, q, t_gauss, k_bend):
-        """Reduced tangent ``V'K_t V``; ``k_bend`` is :meth:`bending_block`
-        of the same basis."""
-        return kernels.reduced_tangent(q, rows, offset, *self._reduced_args(t_gauss),
-                                       k_bend, nonlinear=not self.linear_kinematics)
+    def reduced_linearization(self, rows, offset, q, t_gauss, k_bend):
+        """``V'f(u_org + V q)`` at the Gauss temperatures ``t_gauss`` (see
+        :meth:`gauss_temperature`), from :meth:`reduced_rows`, and a callable
+        that returns the reduced tangent ``V'K_t V`` there; ``k_bend`` is
+        :meth:`bending_block` of the same basis."""
+        return kernels.reduced_linearization(q, rows, offset, *self._reduced_args(t_gauss),
+                                             k_bend, nonlinear=not self.linear_kinematics)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

@@ -20,16 +20,21 @@ numpy path evaluates it for both models:
 
 * full: the rows are the element shape rows ``ba``, ``bw_g``, ``bb_g``,
   batched over elements and Gauss points; the element vectors and blocks
-  are added into the unconstrained force and the banded tangent
-  (:func:`beam_force`, :func:`beam_force_and_tangent`);
+  are added into the unconstrained force and the banded tangent;
 * reduced: for ``u = u_org + V q`` the gradients are linear in ``q``.
   Offline, :func:`gauss_rows` applies the shape rows to every element block
   of ``V`` and ``u_org``, giving rows of shape ``(3*n_el, m)`` and their
-  offsets. Online, :func:`reduced_force` and :func:`reduced_tangent` return
-  the Galerkin force ``V'f`` and tangent ``V'K_t V`` from these rows alone,
-  with the force as ``A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'')``
-  and the state-independent bending block ``K_bend`` passed in. Nothing of
-  size ``n`` is assembled or projected.
+  offsets. Online, the Galerkin force ``V'f`` and tangent ``V'K_t V`` come
+  from these rows alone, with the force as
+  ``A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'')`` and the
+  state-independent bending block ``K_bend`` passed in. Nothing of size
+  ``n`` is assembled or projected.
+
+Each path has one entry point, :func:`beam_linearization` and
+:func:`reduced_linearization`: it evaluates the weak form once and returns
+the force with a callable that builds the tangent from the same ``G`` and
+``N_geo``. :func:`beam_force` and :func:`beam_force_and_tangent` wrap the
+full one.
 
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
@@ -69,12 +74,12 @@ __all__ = [
     "get_backend",
     "band_to_dense",
     "dense_to_band",
+    "beam_linearization",
     "beam_force",
     "beam_force_and_tangent",
     "beam_strain_energy",
     "gauss_rows",
-    "reduced_force",
-    "reduced_tangent",
+    "reduced_linearization",
 ]
 
 # 3-point Gauss rule on the unit interval [0, 1].
@@ -232,17 +237,14 @@ def _element_force(tables, gmat, resultants):
     return (tables.wq[:, None] * (gmat * nax + lin * tables.bw + mb * tables.bb)).sum(axis=1)
 
 
-def _element_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t,
-                               nonlinear=True):
-    """Element force vectors (n_el, 6) and tangent blocks (n_el, 6, 6)."""
-    gmat, resultants, ngeo = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
-                                                alpha_t, nonlinear)
-    k_el = (tables.wq[:, None, None] * (
+def _element_tangent(tables, gmat, ngeo, ea, ei):
+    """Element tangent blocks (n_el, 6, 6) from the weak form's ``G`` and
+    ``N_geo``."""
+    return (tables.wq[:, None, None] * (
         ea * gmat[..., :, None] * gmat[..., None, :]
         + ngeo[..., None, None] * tables.bwbw
         + ei * tables.bbbb
     )).sum(axis=1)
-    return _element_force(tables, gmat, resultants), k_el
 
 
 def _add_element_blocks(out, blocks):
@@ -259,25 +261,36 @@ def _add_element_blocks(out, blocks):
     return out
 
 
+def beam_linearization(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
+    """Internal force, unconstrained, and a callable that returns its
+    consistent tangent in band storage of half-bandwidth
+    :data:`HALF_BANDWIDTH`. The weak form is evaluated once, here; the
+    tangent is built from it only when called."""
+    gmat, resultants, ngeo = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
+                                                alpha_t, nonlinear)
+    n = u_full.shape[0]
+
+    def tangent():
+        k_el = _element_tangent(tables, gmat, ngeo, ea, ei)
+        # Column b of an element block lands in band column 3e + b, rows p + a - b.
+        band_el = np.zeros((k_el.shape[0], 2 * HALF_BANDWIDTH + 1, 6))
+        band_el[:, _BAND_ROW, np.arange(6)] = k_el
+        return _add_element_blocks(np.zeros((2 * HALF_BANDWIDTH + 1, n)), band_el)
+
+    return _add_element_blocks(np.zeros(n), _element_force(tables, gmat, resultants)), tangent
+
+
 def beam_force(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
     """Unconstrained internal force vector (thermal load included)."""
-    gmat, resultants, _ = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
-                                             alpha_t, nonlinear)
-    return _add_element_blocks(np.zeros(u_full.shape[0]),
-                               _element_force(tables, gmat, resultants))
+    return beam_linearization(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear)[0]
 
 
 def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
     """Internal force and its consistent tangent, both unconstrained; the
     tangent in band storage of half-bandwidth :data:`HALF_BANDWIDTH`."""
-    f_el, k_el = _element_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei,
-                                            alpha_t, nonlinear)
-    n = u_full.shape[0]
-    # Column b of an element block lands in band column 3e + b, rows p + a - b.
-    band_el = np.zeros((k_el.shape[0], 2 * HALF_BANDWIDTH + 1, 6))
-    band_el[:, _BAND_ROW, np.arange(6)] = k_el
-    return (_add_element_blocks(np.zeros(n), f_el),
-            _add_element_blocks(np.zeros((2 * HALF_BANDWIDTH + 1, n)), band_el))
+    f, tangent = beam_linearization(u_full, tables, z0p, t_gauss, ea, ei, alpha_t,
+                                    nonlinear)
+    return f, tangent()
 
 
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
@@ -315,23 +328,21 @@ def _reduced_weak_form(q, rows, offset, z0p, t_g, ea, ei, a_t, nonlinear):
     return _weak_form(up, wp, wpp, z0p, t_g, ea, ei, a_t, float(nonlinear))
 
 
-def reduced_force(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
+def reduced_linearization(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, k_bend,
+                          nonlinear=True):
     """Galerkin internal force ``V'f(u_org + V q)`` from the rows and
-    offsets of :func:`gauss_rows`; ``wq``, ``z0p`` and ``t_gauss`` are
-    given per Gauss point, flattened element-major."""
-    slope, (nax, lin, mb), _ = _reduced_weak_form(q, rows, offset, z0p, t_gauss,
-                                                  ea, ei, alpha_t, nonlinear)
+    offsets of :func:`gauss_rows`, and a callable that returns the Galerkin
+    tangent ``V'K_t V`` from the same weak form. ``wq``, ``z0p`` and
+    ``t_gauss`` are given per Gauss point, flattened element-major;
+    ``k_bend`` is the state-independent bending block ``B' diag(wq EI) B``."""
+    slope, (nax, lin, mb), ngeo = _reduced_weak_form(q, rows, offset, z0p, t_gauss,
+                                                     ea, ei, alpha_t, nonlinear)
     wn = wq * nax
     # A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq M) as one product.
     coef = np.concatenate([wn, slope * wn + wq * lin, wq * mb])
-    return rows.reshape(-1, rows.shape[2]).T @ coef
 
+    def tangent():
+        gmat = rows[0] + slope[:, None] * rows[1]
+        return (gmat.T * (wq * ea)) @ gmat + (rows[1].T * (wq * ngeo)) @ rows[1] + k_bend
 
-def reduced_tangent(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, k_bend,
-                    nonlinear=True):
-    """Galerkin tangent ``V'K_t(u_org + V q)V``; ``k_bend`` is the
-    state-independent bending block ``B' diag(wq EI) B``."""
-    slope, _, ngeo = _reduced_weak_form(q, rows, offset, z0p, t_gauss, ea, ei,
-                                        alpha_t, nonlinear)
-    gmat = rows[0] + slope[:, None] * rows[1]
-    return (gmat.T * (wq * ea)) @ gmat + (rows[1].T * (wq * ngeo)) @ rows[1] + k_bend
+    return rows.reshape(-1, rows.shape[2]).T @ coef, tangent

@@ -83,6 +83,15 @@ class SecondOrderModel(ABC):
         :mod:`thermrom.kernels`). Override when the band is cheaper to build."""
         return dense_to_band(self.tangent_stiffness(u, theta), self.half_bandwidth)
 
+    def linearization(self, theta):
+        """``u -> (f, tangent)`` at a frozen ``theta``: the internal force at
+        ``u`` and a callable that returns :meth:`tangent_band` there. Override
+        when the tangent can reuse what the force evaluated."""
+        def linearize(u):
+            u = np.array(u, dtype=float)  # the caller may update its state in place
+            return self.internal_force(u, theta), lambda: self.tangent_band(u, theta)
+        return linearize
+
     @property
     def characteristic_length(self) -> float:
         """Length scale used for finite-difference step selection."""
@@ -169,7 +178,8 @@ class Trajectory:
 
     ``coordinate_space`` is ``"full"`` or ``"reduced:<basis-id>"``.
     ``metadata`` holds scenario id, epsilon, step size and similar scalars;
-    ``step_residuals`` records the converged Newton residual of every step.
+    ``step_residuals`` records the converged Newton residual of every step
+    and ``newton_iterations`` its Newton iteration count (0 at ``t = 0``).
     """
 
     times: np.ndarray
@@ -179,6 +189,7 @@ class Trajectory:
     coordinate_space: str = "full"
     metadata: dict = field(default_factory=dict)
     step_residuals: np.ndarray | None = None
+    newton_iterations: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -199,8 +210,9 @@ class Trajectory:
     def save(self, path) -> None:
         """Write a deterministic npz archive (fixed zip timestamps)."""
         payload = {name: getattr(self, name) for name in _TRAJ_FIELDS}
-        if self.step_residuals is not None:
-            payload["step_residuals"] = self.step_residuals
+        for name in ("step_residuals", "newton_iterations"):
+            if getattr(self, name) is not None:
+                payload[name] = getattr(self, name)
         meta = dict(self.metadata)
         meta["coordinate_space"] = self.coordinate_space
         with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
@@ -229,6 +241,7 @@ class Trajectory:
             coordinate_space=space,
             metadata=meta,
             step_residuals=arrays.get("step_residuals"),
+            newton_iterations=arrays.get("newton_iterations"),
         )
 
 

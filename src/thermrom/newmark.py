@@ -53,6 +53,13 @@ class TransientSystem(ABC):
     initial residual, and evaluates every residual and iteration matrix of
     the step at ``t_end``. The residual is ``M a + C v + f(u) - g`` in
     whatever coordinates the system lives in.
+
+    ``iteration_matrix(c_acc, c_vel)`` is the tangent at the state of the
+    last ``residual`` call; the integrator calls it once per Newton
+    iteration, after the residual of the current iterate. So a system
+    evaluates its weak form once per iterate, in ``residual``, and keeps
+    what the tangent needs. What it keeps must not refer to the system: the
+    reference cycle would keep it alive until a full garbage collection.
     """
 
     @property
@@ -69,9 +76,9 @@ class TransientSystem(ABC):
     def residual(self, u, v, a) -> np.ndarray: ...
 
     @abstractmethod
-    def iteration_matrix(self, u, v, a, c_acc, c_vel) -> np.ndarray:
-        """Effective tangent ``c_acc*M + c_vel*C + K_t(u)``, in whatever
-        storage :meth:`solve` takes."""
+    def iteration_matrix(self, c_acc, c_vel) -> np.ndarray:
+        """Effective tangent ``c_acc*M + c_vel*C + K_t(u)`` at the ``u`` of
+        the last :meth:`residual`, in whatever storage :meth:`solve` takes."""
 
     def solve(self, s_mat, rhs) -> np.ndarray:
         """Solve ``s_mat x = rhs`` for an :meth:`iteration_matrix`; dense
@@ -86,9 +93,10 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     The initial acceleration is solved consistently from the residual at
     ``t = 0``. Each step runs Newton-Raphson on the end-of-step displacement
     until the residual drops below ``newton_tol`` relative to the step's
-    predictor residual. Blow-up beyond ``growth_limit`` times the initial
-    response scale aborts with :class:`IntegrationError`. Returns a
-    :class:`Trajectory` including per-step converged residual norms.
+    predictor residual. A residual norm that is not finite, or blow-up
+    beyond ``growth_limit`` times the initial response scale, aborts with
+    :class:`IntegrationError`. Returns a :class:`Trajectory` including the
+    per-step converged residual norms and Newton iteration counts.
     """
     settings = settings or NewmarkSettings()
     dt = float(dt)
@@ -105,16 +113,17 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     hist_v = np.empty((n_steps + 1, n))
     hist_a = np.empty((n_steps + 1, n))
     step_residuals = np.zeros(n_steps + 1)
+    newton_iterations = np.zeros(n_steps + 1, dtype=int)
 
     system.begin_step(0.0, 0.0)
     rhs0 = -system.residual(u, v, np.zeros(n))
+    _residual_norm(rhs0, [], 0, 0.0)
     a = np.linalg.solve(system.mass(), rhs0)
     hist_u[0], hist_v[0], hist_a[0] = u, v, a
 
     beta, gamma = settings.beta, settings.gamma
     c_acc = 1.0 / (beta * dt * dt)
     c_vel = gamma / (beta * dt)
-    max_newton_used = 0
     # Response scale for blow-up detection is established over a short
     # warmup window (zero initial conditions start at amplitude zero).
     warmup = min(100, n_steps)
@@ -131,8 +140,8 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         v1 = v_pred.copy()
 
         r = system.residual(u1, v1, a1)
-        r_ref = np.linalg.norm(r)
-        res_hist = [r_ref]
+        res_hist = []
+        r_ref = _residual_norm(r, res_hist, step, t1)
         iters = 0
         while res_hist[-1] > settings.newton_tol * r_ref and r_ref > 0.0:
             if iters >= settings.max_newton:
@@ -141,17 +150,17 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
                     f"{res_hist[-1]:.3e}",
                     step=step, time=t1, residual_history=res_hist,
                 )
-            s_mat = system.iteration_matrix(u1, v1, a1, c_acc, c_vel)
+            s_mat = system.iteration_matrix(c_acc, c_vel)
             du = system.solve(s_mat, -r)
             u1 += du
             a1 = c_acc * (u1 - u_pred)
             v1 = v_pred + gamma * dt * a1
             r = system.residual(u1, v1, a1)
-            res_hist.append(np.linalg.norm(r))
+            _residual_norm(r, res_hist, step, t1)
             iters += 1
             if np.linalg.norm(du) <= settings.newton_utol * (1.0 + np.linalg.norm(u1)):
                 break
-        max_newton_used = max(max_newton_used, iters)
+        newton_iterations[step] = iters
         step_residuals[step] = res_hist[-1]
 
         u, v, a = u1, v1, a1
@@ -168,7 +177,10 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
 
     meta = dict(metadata or {})
     meta.setdefault("dt", dt)
-    meta["max_newton_iterations"] = max_newton_used
+    iters = newton_iterations[1:]
+    meta["max_newton_iterations"] = int(iters.max())
+    meta["mean_newton_iterations"] = float(iters.mean())
+    meta["p99_newton_iterations"] = float(np.percentile(iters, 99))
     meta["max_step_residual"] = float(step_residuals.max())
     return Trajectory(
         times=times,
@@ -178,4 +190,14 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         coordinate_space=coordinate_space,
         metadata=meta,
         step_residuals=step_residuals,
+        newton_iterations=newton_iterations,
     )
+
+
+def _residual_norm(r, res_hist, step, t):
+    """Append ``|r|`` to ``res_hist`` and return it; raise if it is not finite."""
+    res_hist.append(np.linalg.norm(r))
+    if not np.isfinite(res_hist[-1]):
+        raise IntegrationError(f"residual is not finite at step {step} (t = {t:.6g})",
+                               step=step, time=t, residual_history=res_hist)
+    return res_hist[-1]

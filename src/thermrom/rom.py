@@ -39,10 +39,14 @@ tangent ``K_bend`` are quadratic in ``w``, so each grid cell ``(j, j+1)``
 gets three m x m blocks of each. Online, ``begin_step`` blends the rows and
 the blocks at the cell and weight from :func:`basisdb.cell_weight` (the
 helper :func:`basisdb.interpolate_basis` uses too), and each Newton
-iteration evaluates the reduced force and tangent from the blended rows
-(:func:`kernels.reduced_force`, :func:`kernels.reduced_tangent`) at a cost
-of O(m^2) per Gauss point, with no n-sized assembly or projection. Only the
-step's right-hand side is projected with the step's basis.
+iteration evaluates the reduced weak form once, from the blended rows
+(:func:`kernels.reduced_linearization`), at a cost of O(m^2) per Gauss
+point, with no n-sized assembly or projection. Only the step's right-hand
+side is projected with the step's basis.
+
+Every ``residual`` keeps the tangent callable of its state, and
+``iteration_matrix`` builds the tangent from it; the full model's comes from
+:func:`kernels.beam_linearization` through ``model.linearization(theta)``.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ class FullSystem(TransientSystem):
     ``theta_of_t`` maps time to the temperature parameter (None for a cold
     model), ``load`` is the applied force ``g(t)``. Works for the beam and
     the two-mass oscillator alike; temperature-following damping is handled
-    through ``model.damping(theta)``. The temperature, the damping and the
-    load are frozen at ``t_end`` of each step.
+    through ``model.damping(theta)``. The temperature, the damping, the load
+    and the model's ``linearization`` (with the beam's Gauss-point
+    temperatures) are frozen at ``t_end`` of each step.
 
     The iteration matrix is kept in band storage of the model's
     ``half_bandwidth`` and solved with a banded LU, so a Newton iteration
@@ -112,18 +117,18 @@ class FullSystem(TransientSystem):
         self._damping_band = dense_to_band(damping, self._p)
 
     def begin_step(self, t_start, t_end):
-        self._theta = self.theta_of_t(t_end)
+        theta = self.theta_of_t(t_end)
         if self.temperature_damping:
-            self._set_damping(self.model.damping(self._theta))
+            self._set_damping(self.model.damping(theta))
+        self._linearize = self.model.linearization(theta)
         self._g = self.load(t_end)
 
     def residual(self, u, v, a):
-        return (self._mass @ a + self._damping @ v
-                + self.model.internal_force(u, self._theta) - self._g)
+        f, self._tangent = self._linearize(u)
+        return self._mass @ a + self._damping @ v + f - self._g
 
-    def iteration_matrix(self, u, v, a, c_acc, c_vel):
-        return (c_acc * self._mass_band + c_vel * self._damping_band
-                + self.model.tangent_band(u, self._theta))
+    def iteration_matrix(self, c_acc, c_vel):
+        return c_acc * self._mass_band + c_vel * self._damping_band + self._tangent()
 
     def solve(self, s_mat, rhs):
         return solve_banded((self._p, self._p), s_mat, rhs)
@@ -145,7 +150,7 @@ class AdaptiveRom(TransientSystem):
     and bending matrices, with ``X_ab = V_a' X V_b``. ``begin_step`` blends
     them for one position in the chain. Subclasses choose that position
     (:meth:`_place`), the right-hand side (:meth:`_rhs`) and the reduced
-    force and tangent (:meth:`_force`, :meth:`_tangent`).
+    force with its tangent callable (:meth:`_linearize`).
     """
 
     def __init__(self, model, database, tau_of_t, xc_of_tau, load=None):
@@ -212,10 +217,11 @@ class AdaptiveRom(TransientSystem):
         self._g = self._rhs(t_end)
 
     def residual(self, q, qd, qdd):
-        return self._m_red @ qdd + self._c_red @ qd + self._force(q) - self._g
+        f, self._tangent = self._linearize(q)
+        return self._m_red @ qdd + self._c_red @ qd + f - self._g
 
-    def iteration_matrix(self, q, qd, qdd, c_acc, c_vel):
-        return c_acc * self._m_red + c_vel * self._c_red + self._tangent(q)
+    def iteration_matrix(self, c_acc, c_vel):
+        return c_acc * self._m_red + c_vel * self._c_red + self._tangent()
 
     def _place(self, t_start, t_end):
         """Cell, blend weight and temperature parameter of the step: the
@@ -228,12 +234,11 @@ class AdaptiveRom(TransientSystem):
         """Projected right-hand side ``g`` of the step ending at ``t``."""
         return self._v.T @ self.load(t)
 
-    def _force(self, q):
-        return self.model.reduced_force(self._rows, self._offset, q, self._t_gauss)
-
-    def _tangent(self, q):
-        return self.model.reduced_tangent(self._rows, self._offset, q, self._t_gauss,
-                                          self._k_bend)
+    def _linearize(self, q):
+        """Reduced force at ``q`` and a callable for the reduced tangent
+        there, which must not refer to ``self`` (see ``TransientSystem``)."""
+        return self.model.reduced_linearization(self._rows, self._offset, q,
+                                                self._t_gauss, self._k_bend)
 
 
 class ConstantBasisRom(AdaptiveRom):
@@ -271,14 +276,15 @@ class CorrectionRom(AdaptiveRom):
         vars(self).update(vars(leading))
         self.q0_of_t = q0_of_t
         self.nu = float(nu)
-        self.load = eps_load or (lambda t: np.zeros(self.model.dof_count))
+        model = leading.model
+        self.load = eps_load or (lambda t: np.zeros(model.dof_count))
         self.dxc_dtau = dxc_dtau or (lambda tau: 0.0)
 
     def _rhs(self, t):
         """Freeze the tangent ``K0`` at ``q0(t)`` and return the projected
         slow-coupling force."""
         q0, q0d = self.q0_of_t(t)
-        self._k0 = super()._tangent(q0)
+        self._k0 = super()._linearize(q0)[1]()
         dv_dxc, du_dxc = slow_basis_derivative(self.database, self._x_c)
         rate = self.dxc_dtau(self._tau)
         v_slow = dv_dxc * rate
@@ -287,8 +293,6 @@ class CorrectionRom(AdaptiveRom):
         force = force - self.nu * (self.model.damping() @ u_slow)
         return self._v.T @ force
 
-    def _force(self, q):
-        return self._k0 @ q
-
-    def _tangent(self, q):
-        return self._k0
+    def _linearize(self, q):
+        k0 = self._k0
+        return k0 @ q, lambda: k0

@@ -530,7 +530,8 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
                 "basis_size": res.basis_size,
                 "runtime_s": res.runtime,
                 **{k: res.trajectory.metadata[k]
-                   for k in ("max_newton_iterations", "max_step_residual")},
+                   for k in ("max_newton_iterations", "mean_newton_iterations",
+                             "p99_newton_iterations", "max_step_residual")},
                 **({k: v for k, v in errors[name].items() if k != "instant"}
                    if name in errors else {}),
             }
@@ -654,7 +655,7 @@ class _TwoDofAdaptiveRom(TransientSystem):
     def residual(self, q, qd, qdd):
         return self._m_red * qdd + self._c_red * qd + self._k_red * q - self._g
 
-    def iteration_matrix(self, q, qd, qdd, c_acc, c_vel):
+    def iteration_matrix(self, c_acc, c_vel):
         return np.array([[c_acc * self._m_red + c_vel * self._c_red + self._k_red]])
 
 

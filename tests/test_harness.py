@@ -10,6 +10,7 @@ import pytest
 from thermrom.config import example_config_text, load_config
 from thermrom.errors import ConfigError
 from thermrom.metrics import error_uniform
+from thermrom.models import Trajectory
 from thermrom.scenarios import (
     ScenarioConfig,
     build_beam_scenario,
@@ -50,6 +51,13 @@ def test_smoke_runs_and_writes_declared_files(smoke_bundle):
         row, traj = summary["methods"][name], res.trajectory
         assert row["max_newton_iterations"] == traj.metadata["max_newton_iterations"] >= 1
         assert row["max_step_residual"] == float(traj.step_residuals.max())
+        iters = traj.newton_iterations
+        assert iters.shape == traj.times.shape and iters[0] == 0
+        assert iters.max() == row["max_newton_iterations"]
+        assert row["mean_newton_iterations"] == float(iters[1:].mean())
+        assert row["p99_newton_iterations"] == float(np.percentile(iters[1:], 99))
+        saved = Trajectory.load(out / f"states_{name}.npz")
+        assert np.array_equal(saved.newton_iterations, iters)
 
 
 def test_smoke_probe_csv_time_axis(smoke_bundle):

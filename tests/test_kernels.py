@@ -118,7 +118,11 @@ def test_band_storage_matches_its_definition(rng):
 def _dense_add_at(model, u, x_c):
     """Unconstrained force and dense tangent from the element vectors and
     blocks, scattered element by element with ``np.add.at``."""
-    f_el, k_el = kernels._element_force_and_tangent(*model._kernel_args(u, x_c))
+    u_full, tables, *args = model._kernel_args(u, x_c)
+    gmat, resultants, ngeo = kernels._element_weak_form(u_full, tables, *args)
+    f_el = kernels._element_force(tables, gmat, resultants)
+    k_el = kernels._element_tangent(tables, gmat, ngeo, model.properties.axial_rigidity,
+                                    model.properties.bending_rigidity)
     idx = 3 * np.arange(k_el.shape[0])[:, None] + np.arange(6)
     n = model.n_full
     f, k = np.zeros(n), np.zeros((n, n))

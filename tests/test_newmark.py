@@ -30,7 +30,7 @@ class Linear1Dof(TransientSystem):
     def residual(self, u, v, a):
         return a + self.c * v + self.omega**2 * u - self._g
 
-    def iteration_matrix(self, u, v, a, c_acc, c_vel):
+    def iteration_matrix(self, c_acc, c_vel):
         return np.array([[c_acc + c_vel * self.c + self.omega**2]])
 
 
@@ -119,12 +119,27 @@ def test_instability_guard_triggers():
         def residual(self, u, v, a):
             return a - 100.0 * u - np.array([1e-3])
 
-        def iteration_matrix(self, u, v, a, c_acc, c_vel):
+        def iteration_matrix(self, c_acc, c_vel):
             return np.array([[c_acc - 100.0]])
 
     with pytest.raises(IntegrationError):
         newmark_integrate(Repeller(), np.zeros(1), np.zeros(1), 0.05, 5000,
                           NewmarkSettings(growth_limit=1e3))
+
+
+def test_non_finite_residual_aborts_the_integration():
+    # a load that turns NaN at t > 0.5 must stop the run at the first step
+    # whose residual is not finite, not be accepted on the predictor
+    dt = 0.03
+    system = FullSystem(TwoDofModel(), theta_of_t=lambda t: 0.0,
+                        load=lambda t: np.array([0.0, np.sin(t) if t <= 0.5 else np.nan]))
+    with pytest.raises(IntegrationError) as info:
+        newmark_integrate(system, np.zeros(2), np.zeros(2), dt, 40)
+    first_bad = int(np.argmax(dt * np.arange(41) > 0.5))
+    assert info.value.step == first_bad
+    assert info.value.time == dt * first_bad
+    assert len(info.value.residual_history) == 1
+    assert np.isnan(info.value.residual_history[-1])
 
 
 def test_step_residuals_below_tolerance(beam_curved_nl):
@@ -139,14 +154,24 @@ def test_step_residuals_below_tolerance(beam_curved_nl):
     traj = newmark_integrate(system, u_eq, np.zeros_like(u_eq), 2e-6, 200, settings)
     assert traj.step_residuals is not None
     assert traj.metadata["max_newton_iterations"] <= settings.max_newton
+    assert traj.newton_iterations[0] == 0
+    assert traj.newton_iterations.max() == traj.metadata["max_newton_iterations"] >= 1
 
 
 class _DenseFullSystem(FullSystem):
     """The full model with a dense iteration matrix and a dense LU."""
 
-    def iteration_matrix(self, u, v, a, c_acc, c_vel):
+    def begin_step(self, t_start, t_end):
+        super().begin_step(t_start, t_end)
+        self._theta = self.theta_of_t(t_end)
+
+    def residual(self, u, v, a):
+        self._u = u.copy()
+        return super().residual(u, v, a)
+
+    def iteration_matrix(self, c_acc, c_vel):
         return (c_acc * self.model.mass() + c_vel * self.model.damping()
-                + self.model.tangent_stiffness(u, self._theta))
+                + self.model.tangent_stiffness(self._u, self._theta))
 
     def solve(self, s_mat, rhs):
         return np.linalg.solve(s_mat, rhs)

@@ -1,10 +1,13 @@
 """Reduced transient systems: leading order, slow correction, constant
 basis, reconstruction."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from thermrom import kernels
+from thermrom import beam, kernels
 from thermrom.basisdb import build_database, default_grid, interpolate_basis
 from thermrom.errors import ContractError
 from thermrom.newmark import newmark_integrate
@@ -175,7 +178,7 @@ def test_reduced_operators_match_projection(model_and_db, where, rng):
     for rom in (adaptive, constant):
         rom.begin_step(0.0, 0.0)
         _close(rom.residual(q, zero, zero), v.T @ model.internal_force(u, x_c))
-        _close(rom.iteration_matrix(q, zero, zero, 0.0, 0.0),
+        _close(rom.iteration_matrix(0.0, 0.0),
                v.T @ model.tangent_stiffness(u, x_c) @ v)
         _close(rom.mass(), v.T @ model.mass() @ v)
         _close(rom._c_red, v.T @ model.damping() @ v)
@@ -183,12 +186,12 @@ def test_reduced_operators_match_projection(model_and_db, where, rng):
 
 def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
     # a few integrated steps of the Galerkin models assemble nothing of
-    # full size: both full kernels are replaced by a trap
+    # full size: the full kernels are replaced by a trap
     def trap(*args, **kwargs):
         raise AssertionError("full-size kernel called by a reduced model")
 
-    monkeypatch.setattr(kernels, "beam_force", trap)
-    monkeypatch.setattr(kernels, "beam_force_and_tangent", trap)
+    for name in ("beam_linearization", "beam_force", "beam_force_and_tangent"):
+        monkeypatch.setattr(kernels, name, trap)
     model = beam_curved_nl
     entry = db_nl.entries[3]
     load = model.uniform_transverse_load(2e2)
@@ -207,38 +210,94 @@ def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
 
 # -- per-step freeze ----------------------------------------------------------------
 
-def test_every_system_reads_its_load_once_per_step(beam_curved_nl, db_nl):
-    # time enters only through begin_step: a 5-step integration reads the
-    # load once for the initial residual and once per step, however many
-    # Newton iterations the steps take
-    model = beam_curved_nl
-    entry = db_nl.entries[3]
-    l_vec = model.uniform_transverse_load(2e2)
+def _step_systems(model, db, load):
+    """The four transient systems on one beam and database, each with its
+    initial state, and the step of a 5-step integration."""
+    entry = db.entries[3]
     omega = 0.7 * entry.frequencies[0]
-    calls = []
-
-    def load(t):
-        calls.append(t)
-        return l_vec * np.sin(omega * t)
-
-    m = db_nl.m
-    dt = (2.0 * np.pi / omega) / 40.0
-    leading = make_adaptive(model, db_nl, load=load)
+    m = db.m
     systems = {
         "full": (FullSystem(model, theta_of_t=lambda t: entry.x_c, load=load), entry.u_eq),
-        "adaptive": (leading, np.zeros(m)),
+        "adaptive": (make_adaptive(model, db, load=load), np.zeros(m)),
         "constant": (ConstantBasisRom(model, entry.matrix, theta_of_t=lambda t: entry.x_c,
                                       load=load, u_ref=entry.u_eq), np.zeros(m)),
-        "correction": (CorrectionRom(make_adaptive(model, db_nl), nu=1.0e4,
+        "correction": (CorrectionRom(make_adaptive(model, db), nu=1.0e4,
                                      q0_of_t=lambda t: (1e-4 * np.sin(omega * t) * np.ones(m),
                                                         np.zeros(m)),
                                      eps_load=load, dxc_dtau=lambda tau: 0.02 * np.cos(tau)),
                        np.zeros(m)),
     }
+    return systems, (2.0 * np.pi / omega) / 40.0
+
+
+def _sine_load(model, db, calls):
+    """A transverse sine load that appends each time it is read to ``calls``."""
+    l_vec = model.uniform_transverse_load(2e2)
+    omega = 0.7 * db.entries[3].frequencies[0]
+
+    def load(t):
+        calls.append(t)
+        return l_vec * np.sin(omega * t)
+    return load
+
+
+def test_every_system_reads_its_load_once_per_step(beam_curved_nl, db_nl):
+    # time enters only through begin_step: a 5-step integration reads the
+    # load once for the initial residual and once per step, however many
+    # Newton iterations the steps take
+    calls = []
+    systems, dt = _step_systems(beam_curved_nl, db_nl,
+                                _sine_load(beam_curved_nl, db_nl, calls))
     for name, (system, u0) in systems.items():
         calls.clear()
         newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
         assert calls == [0.0] + [dt * k for k in range(1, 6)], name
+
+
+def test_one_weak_form_per_residual(beam_curved_nl, db_nl, monkeypatch):
+    # each Newton iterate evaluates the weak form once, in its residual; the
+    # iteration matrix reuses it. The Gauss temperatures are evaluated once
+    # per step, in begin_step.
+    count = {"residual": 0, "weak_form": 0, "temperature": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_element_weak_form", "_reduced_weak_form"):
+        monkeypatch.setattr(kernels, name, counted("weak_form", getattr(kernels, name)))
+    monkeypatch.setattr(beam, "pulse_temperature",
+                        counted("temperature", beam.pulse_temperature))
+    systems, dt = _step_systems(beam_curved_nl, db_nl, _sine_load(beam_curved_nl, db_nl, []))
+    for name in ("full", "adaptive", "constant"):
+        system, u0 = systems[name]
+        system.residual = counted("residual", system.residual)
+        count.update(residual=0, weak_form=0, temperature=0)
+        traj = newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
+        assert traj.newton_iterations[1:].min() >= 1, name
+        assert count["weak_form"] == count["residual"], (name, count)
+        assert count["temperature"] == 6, (name, count)
+
+
+def test_systems_are_freed_without_the_cycle_collector(beam_curved_nl, db_nl):
+    # what a residual keeps for its iteration matrix must not refer back to
+    # the system: a reference cycle would keep every integrated model (and
+    # its operator blocks) alive until a full garbage collection
+    systems, dt = _step_systems(beam_curved_nl, db_nl, _sine_load(beam_curved_nl, db_nl, []))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in list(systems):
+            system, u0 = systems.pop(name)
+            newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- slow correction ----------------------------------------------------------------
@@ -254,7 +313,8 @@ def _correction_tangent(corr, t):
     """Stiffness of the correction frozen for a step ending at ``t``."""
     corr.begin_step(t, t)
     zero = np.zeros(corr.ndof)
-    return corr.iteration_matrix(zero, zero, zero, 0.0, 0.0)
+    corr.residual(zero, zero, zero)
+    return corr.iteration_matrix(0.0, 0.0)
 
 
 def test_correction_zero_rhs_for_frozen_pulse(beam_curved_nl, db_nl):

@@ -75,7 +75,8 @@ def _sample_trajectory():
     return Trajectory(times=times, displacement=states, velocity=2 * states,
                       acceleration=3 * states, coordinate_space="full",
                       metadata={"scenario": "twodof", "eps": 0.01, "dt": 0.1},
-                      step_residuals=np.zeros(11))
+                      step_residuals=np.zeros(11),
+                      newton_iterations=np.arange(11) % 3)
 
 
 def test_trajectory_roundtrip_bitexact(tmp_path):
@@ -84,7 +85,7 @@ def test_trajectory_roundtrip_bitexact(tmp_path):
     traj.save(path)
     back = Trajectory.load(path)
     for name in ("times", "displacement", "velocity", "acceleration",
-                 "step_residuals"):
+                 "step_residuals", "newton_iterations"):
         a, b = getattr(traj, name), getattr(back, name)
         assert a.tobytes() == b.tobytes()
     assert back.metadata == traj.metadata
