@@ -10,7 +10,6 @@ reproducible experiment harness with a CLI (``thermrom --help``).
 
 from .basisdb import (
     BasisDatabase,
-    StackedBasisMatrix,
     build_database,
     congruent_align,
     default_grid,
@@ -23,7 +22,7 @@ from .basisdb import (
     stack_columns,
     stack_orthonormalize,
 )
-from .beam import BeamModel, BeamProperties, TemperaturePulse, pulse_center, pulse_temperature
+from .beam import BeamModel, BeamProperties, TemperaturePulse, pulse_temperature
 from .forcing import PerturbationForcing, make_perturbation
 from .metrics import error_instant, error_uniform
 from .models import (

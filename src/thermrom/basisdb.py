@@ -21,7 +21,6 @@ from .spectral import LocalBasis, build_local_basis
 
 __all__ = [
     "BasisDatabase",
-    "StackedBasisMatrix",
     "congruent_align",
     "default_grid",
     "build_database",
@@ -44,8 +43,12 @@ log = logging.getLogger(__name__)
 # looser cutoff such as 1e-8 visibly undercounts the span of the stack.
 DEFAULT_SV_TOL = 5e-14
 
+# Smallest singular value of the cross-Gramian, relative to max(sigma_1, 1),
+# for which a congruence rotation is defined.
+MIN_CONGRUENCE_SINGULAR = 1e-12
 
-def congruent_align(v_ref, v_raw, min_singular=1e-12, return_rotation=False):
+
+def congruent_align(v_ref, v_raw, return_rotation=False):
     """Rotate ``v_raw`` so its columns are consistent with ``v_ref``.
 
     Computes ``P = v_raw' v_ref``, its SVD ``P = L S R'`` and the orthogonal
@@ -62,7 +65,7 @@ def congruent_align(v_ref, v_raw, min_singular=1e-12, return_rotation=False):
         )
     p = v_raw.T @ v_ref
     left, sing, right_t = np.linalg.svd(p)
-    if sing[-1] <= min_singular * max(sing[0], 1.0):
+    if sing[-1] <= MIN_CONGRUENCE_SINGULAR * max(sing[0], 1.0):
         raise AlignmentError(
             "no congruence direction: cross-Gramian is rank deficient "
             f"(smallest singular value {sing[-1]:.3e})"
@@ -122,28 +125,20 @@ class BasisDatabase:
     def __len__(self):
         return len(self.entries)
 
-    def save(self, directory):
-        save_database(self, directory)
-
-    @classmethod
-    def load(cls, directory):
-        return load_database(directory)
-
 
 def _principal_angle(va, vb):
     sing = np.linalg.svd(va.T @ vb, compute_uv=False)
     return float(np.arccos(np.clip(sing.min(), -1.0, 1.0)))
 
 
-def build_database(model, grid, k, with_md=False, align=True, reference_index=None,
-                   rank_tol=1e-10):
+def build_database(model, grid, k, with_md=False, align=True):
     """Build, then congruence-align, local bases on a pulse-center grid.
 
     Entries are built in grid order with the Newton solve warm-started from
-    the previous equilibrium. The alignment reference defaults to the grid
-    midpoint entry, which halves the maximum grid distance over which
-    congruence must hold. Solver and eigenvalue failures propagate annotated
-    with the failing grid point.
+    the previous equilibrium. The alignment reference is the grid midpoint
+    entry, which halves the maximum grid distance over which congruence must
+    hold. Solver and eigenvalue failures propagate annotated with the
+    failing grid point.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -154,16 +149,14 @@ def build_database(model, grid, k, with_md=False, align=True, reference_index=No
     for x_c in grid:
         try:
             entry = build_local_basis(model, x_c, k, with_md=with_md,
-                                      u_guess=u_guess, rank_tol=rank_tol,
-                                      sign_reference=sign_reference)
+                                      u_guess=u_guess, sign_reference=sign_reference)
         except Exception as exc:
             raise type(exc)(f"database build failed at x_c = {x_c!r}: {exc}") from exc
         entries.append(entry)
         u_guess = entry.u_eq
         sign_reference = entry.info.get("modes")
 
-    if reference_index is None:
-        reference_index = len(entries) // 2
+    reference_index = len(entries) // 2
     kind = entries[0].kind
 
     residuals = np.zeros(len(entries))
@@ -189,7 +182,7 @@ def build_database(model, grid, k, with_md=False, align=True, reference_index=No
     return BasisDatabase(
         grid=grid,
         entries=entries,
-        reference_index=int(reference_index),
+        reference_index=reference_index,
         kind=kind,
         aligned=bool(align),
         alignment_residuals=residuals if align else None,
@@ -274,59 +267,37 @@ def slow_basis_derivative(db, x_c, delta=None):
 # stacked-basis compression (constant-basis baselines)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StackedBasisMatrix:
-    """Horizontal stack of local bases with their grid provenance."""
-
-    matrix: np.ndarray
-    sources: list
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_columns(self):
-        return self.matrix.shape[1]
-
-
-def stack_columns(bases) -> StackedBasisMatrix:
-    """Stack local bases (or a database) into one wide matrix."""
-    if isinstance(bases, BasisDatabase):
-        entries = bases.entries
-        sources = list(range(len(entries)))
-    else:
-        entries = list(bases)
-        sources = list(range(len(entries)))
-    if not entries:
+def stack_columns(entries):
+    """Stack the matrices of local bases (such as ``db.entries``) into one
+    wide array."""
+    mats = [e.matrix for e in entries]
+    if not mats:
         raise ContractError("nothing to stack")
-    mats = [e.matrix if isinstance(e, LocalBasis) else np.asarray(e) for e in entries]
     n = mats[0].shape[0]
     for m in mats:
         if m.shape[0] != n:
             raise ContractError("stacked bases must share the row dimension")
-    return StackedBasisMatrix(np.hstack(mats), sources)
+    return np.hstack(mats)
 
 
-def stack_orthonormalize(bases, sv_tol=DEFAULT_SV_TOL):
-    """Orthonormal basis spanning the stacked columns ("Modal" baseline).
+def stack_orthonormalize(stacked, sv_tol=DEFAULT_SV_TOL):
+    """Orthonormal basis spanning the columns of the stacked array ("Modal"
+    baseline).
 
     Keeps the left singular vectors with singular value above
     ``sv_tol * sigma_1``; the threshold sits well above machine zero to drop
     spurious directions.
     """
-    stacked = bases if isinstance(bases, StackedBasisMatrix) else stack_columns(bases)
-    u, s, _ = np.linalg.svd(stacked.matrix, full_matrices=False)
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(s > sv_tol * s[0]))
-    log.info("stack of %d columns orthonormalized to rank %d", stacked.n_columns, rank)
+    log.info("stack of %d columns orthonormalized to rank %d", stacked.shape[1], rank)
     return u[:, :rank]
 
 
 def modal_pod(stacked, m, sv_tol=DEFAULT_SV_TOL):
     """Best constant basis of size ``m``: top left singular vectors of the
-    stacked matrix ("Modal-POD" baseline)."""
-    stacked = stacked if isinstance(stacked, StackedBasisMatrix) else stack_columns(stacked)
-    u, s, _ = np.linalg.svd(stacked.matrix, full_matrices=False)
+    stacked array ("Modal-POD" baseline)."""
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(s > sv_tol * s[0]))
     if m > rank:
         raise ContractError(f"requested {m} modes but the stack has rank {rank}")
@@ -334,9 +305,8 @@ def modal_pod(stacked, m, sv_tol=DEFAULT_SV_TOL):
 
 
 def singular_value_profile(stacked):
-    """All singular values of the stacked matrix, descending."""
-    stacked = stacked if isinstance(stacked, StackedBasisMatrix) else stack_columns(stacked)
-    return np.linalg.svd(stacked.matrix, compute_uv=False)
+    """All singular values of the stacked array, descending."""
+    return np.linalg.svd(stacked, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +346,23 @@ def save_database(db, directory):
         )
 
 
+def _floats(text):
+    return np.array([float(t) for t in text.split()])
+
+
+def _read(path, parse):
+    """``parse(path)``; a missing or unparsable file is a :class:`ContractError`
+    that names it."""
+    try:
+        return parse(path)
+    except (OSError, ValueError) as exc:
+        raise ContractError(f"cannot read {path}: {exc}") from exc
+
+
 def load_database(directory) -> BasisDatabase:
+    """Read a database written by :func:`save_database`. A missing file or
+    metadata key, or an unparsable value, raises :class:`ContractError`
+    naming the file."""
     directory = Path(directory)
     meta_path = directory / "db_meta.txt"
     if not meta_path.exists():
@@ -386,32 +372,37 @@ def load_database(directory) -> BasisDatabase:
         if "=" in line:
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
-    grid = np.array([float(t) for t in meta["grid"].split()])
-    n_entries = int(meta["n_entries"])
+    try:
+        grid = _floats(meta["grid"])
+        kind = meta["kind"]
+        n_entries = int(meta["n_entries"])
+        reference_index = int(meta["reference_index"])
+        aligned = bool(int(meta["aligned"]))
+        residuals = (_floats(meta["alignment_residuals"])
+                     if "alignment_residuals" in meta else None)
+        angles = _floats(meta["adjacent_angles"]) if "adjacent_angles" in meta else None
+    except KeyError as exc:
+        raise ContractError(f"{meta_path} has no {exc} entry") from None
+    except ValueError as exc:
+        raise ContractError(f"cannot read {meta_path}: {exc}") from exc
+    if n_entries != grid.size:
+        raise ContractError(f"{meta_path}: n_entries differs from the grid size")
     entries = []
-    for j in range(n_entries):
+    for j, x_c in enumerate(grid):
         edir = directory / f"entry_{j:02d}"
-        matrix = np.asarray(mmread(str(edir / "basis.mtx")))
-        u_eq = np.asarray(mmread(str(edir / "u_eq.mtx"))).ravel()
-        freqs = np.array([
-            float(t) for t in (edir / "frequencies.txt").read_text().split()
-        ])
         entries.append(LocalBasis(
-            x_c=float(grid[j]), u_eq=u_eq, frequencies=freqs,
-            matrix=matrix, kind=meta["kind"],
+            x_c=float(x_c),
+            u_eq=_read(edir / "u_eq.mtx", lambda f: np.asarray(mmread(str(f))).ravel()),
+            frequencies=_read(edir / "frequencies.txt", lambda f: _floats(f.read_text())),
+            matrix=_read(edir / "basis.mtx", lambda f: np.asarray(mmread(str(f)))),
+            kind=kind,
         ))
-    residuals = None
-    if "alignment_residuals" in meta:
-        residuals = np.array([float(t) for t in meta["alignment_residuals"].split()])
-    angles = None
-    if "adjacent_angles" in meta:
-        angles = np.array([float(t) for t in meta["adjacent_angles"].split()])
     return BasisDatabase(
         grid=grid,
         entries=entries,
-        reference_index=int(meta["reference_index"]),
-        kind=meta["kind"],
-        aligned=bool(int(meta["aligned"])),
+        reference_index=reference_index,
+        kind=kind,
+        aligned=aligned,
         alignment_residuals=residuals,
         adjacent_angles=angles,
     )

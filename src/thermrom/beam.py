@@ -26,7 +26,6 @@ __all__ = [
     "TemperaturePulse",
     "BeamModel",
     "pulse_temperature",
-    "pulse_center",
 ]
 
 
@@ -86,31 +85,18 @@ class BeamProperties:
 
 @dataclass(frozen=True)
 class TemperaturePulse:
-    """sin^2-shaped temperature pulse of height ``height`` over a window of
-    width ``width`` centered at a movable position.
-
-    The center follows ``x_c(tau) = center_start + travel_amplitude*sin(tau)``
-    on the slow phase ``tau``; ``eps`` records the fast-to-slow rate ratio
-    used by the scenarios to build ``tau`` from time.
-    """
+    """Shape of a sin^2 temperature pulse of height ``height`` over a window
+    of width ``width``; :func:`pulse_temperature` places it at a center
+    position. How the center moves is up to the scenario."""
 
     height: float = 100.0
     width: float = 0.02
-    center_start: float = 0.05
-    travel_amplitude: float = 0.0
-    eps: float = 1.0e-3
 
     def __post_init__(self):
         if self.width <= 0.0:
             raise ContractError("pulse width must be positive")
         if self.height < 0.0:
             raise ContractError("pulse height must be non-negative")
-
-    def center(self, tau):
-        return pulse_center(tau, self)
-
-    def temperature(self, x, x_c):
-        return pulse_temperature(x, x_c, self)
 
 
 def pulse_temperature(x, x_c, pulse):
@@ -129,11 +115,6 @@ def pulse_temperature(x, x_c, pulse):
     if t.ndim == 0:
         return float(t)
     return t
-
-
-def pulse_center(tau, pulse):
-    """Pulse-center position at slow phase ``tau``."""
-    return pulse.center_start + pulse.travel_amplitude * np.sin(tau)
 
 
 def _element_mass(rho_a, ell):
@@ -292,7 +273,11 @@ class BeamModel(SecondOrderModel):
         return f[self._free]
 
     def tangent_stiffness(self, u, theta):
-        return kernels.band_to_dense(self.tangent_band(u, theta))
+        # Band columns are matrix columns, so slicing them keeps the free
+        # dofs; the corners then hold couplings to the clamped dofs, which
+        # band storage ignores.
+        _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
+        return kernels.band_to_dense(k[:, self._free])
 
     def force_and_tangent(self, u, theta):
         f, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
@@ -301,13 +286,6 @@ class BeamModel(SecondOrderModel):
     @property
     def half_bandwidth(self) -> int:
         return kernels.HALF_BANDWIDTH
-
-    def tangent_band(self, u, theta):
-        # Band columns are matrix columns, so slicing them keeps the free
-        # dofs; the corners then hold couplings to the clamped dofs, which
-        # band storage ignores.
-        _, k = kernels.beam_force_and_tangent(*self._kernel_args(u, theta))
-        return k[:, self._free]
 
     def linearization(self, theta):
         # The Gauss-point temperatures are evaluated here, once per theta.
@@ -362,10 +340,6 @@ class BeamModel(SecondOrderModel):
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))
-
-    def thermal_load(self, theta):
-        """``b(theta) = f(0, theta)``, the thermal force at zero displacement."""
-        return self.internal_force(np.zeros(self.dof_count), theta)
 
     def uniform_transverse_load(self, density, reduce=True):
         """Consistent nodal force of a uniform transverse line load [N/m]."""

@@ -142,7 +142,7 @@ def _cmd_svd_profile(args):
         db = load_database(args.database)
     else:
         db = build_scenario_database(cfg)
-    sigmas = singular_value_profile(stack_columns(db))
+    sigmas = singular_value_profile(stack_columns(db.entries))
     out = _resolve_out(args.out, f"svd_{cfg.scenario}")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "singular_values.csv"

@@ -77,19 +77,16 @@ class SecondOrderModel(ABC):
         tangent; the default treats them as dense."""
         return self.dof_count - 1
 
-    def tangent_band(self, u, theta):
-        """:meth:`tangent_stiffness` in LAPACK band storage of half-bandwidth
-        ``p = half_bandwidth``: ``ab[p + i - j, j] = K[i, j]`` (see
-        :mod:`thermrom.kernels`). Override when the band is cheaper to build."""
-        return dense_to_band(self.tangent_stiffness(u, theta), self.half_bandwidth)
-
     def linearization(self, theta):
         """``u -> (f, tangent)`` at a frozen ``theta``: the internal force at
-        ``u`` and a callable that returns :meth:`tangent_band` there. Override
+        ``u`` and a callable that returns :meth:`tangent_stiffness` there in
+        LAPACK band storage of half-bandwidth ``p = half_bandwidth``,
+        ``ab[p + i - j, j] = K[i, j]`` (see :mod:`thermrom.kernels`). Override
         when the tangent can reuse what the force evaluated."""
         def linearize(u):
             u = np.array(u, dtype=float)  # the caller may update its state in place
-            return self.internal_force(u, theta), lambda: self.tangent_band(u, theta)
+            return self.internal_force(u, theta), lambda: dense_to_band(
+                self.tangent_stiffness(u, theta), self.half_bandwidth)
         return linearize
 
     @property

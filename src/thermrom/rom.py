@@ -57,6 +57,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative
+from .errors import IntegrationError
 from .kernels import dense_to_band
 from .newmark import TransientSystem
 
@@ -212,7 +213,12 @@ class AdaptiveRom(TransientSystem):
                       + w**2 * self._node_blocks[j + 1])
         self._m_red, self._c_red, self._k_bend = blocks
         # The reduced mass must stay positive definite for any frozen basis.
-        np.linalg.cholesky(self._m_red)
+        try:
+            np.linalg.cholesky(self._m_red)
+        except np.linalg.LinAlgError:
+            raise IntegrationError(
+                f"reduced mass is not positive definite at t = {t_end:.6g} "
+                f"(cell j = {j}, w = {w:.6g}, x_c = {theta})", time=t_end) from None
         self._t_gauss = self.model.gauss_temperature(theta)
         self._g = self._rhs(t_end)
 

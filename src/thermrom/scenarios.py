@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +180,6 @@ class BeamScenario:
 
     config: ScenarioConfig
     model: BeamModel
-    pulse: TemperaturePulse
     omega_f: float
     omega_cut: float
     frequencies: np.ndarray
@@ -192,11 +191,8 @@ class BeamScenario:
     u_initial: np.ndarray
     forcing: object
     load_vector: np.ndarray
-    with_md: bool
-    probe_node: int
     probe_dofs: tuple
     database: BasisDatabase | None = None
-    extras: dict = field(default_factory=dict)
 
     def tau_of_t(self, t):
         return self.config.eps * self.omega_f * t
@@ -243,13 +239,7 @@ def scenario_model(cfg) -> BeamModel:
     height = cfg.pulse_height if cfg.pulse_height is not None else d["pulse_height"]
     width_frac = (cfg.pulse_width_fraction if cfg.pulse_width_fraction is not None
                   else d["pulse_width_fraction"])
-    pulse = TemperaturePulse(
-        height=height,
-        width=width_frac * props.length,
-        center_start=d["x0_frac"] * props.length,
-        travel_amplitude=d["amp_frac"] * props.length,
-        eps=cfg.eps,
-    )
+    pulse = TemperaturePulse(height=height, width=width_frac * props.length)
     return BeamModel(props, pulse, linear_kinematics=d["linear_kinematics"])
 
 
@@ -313,20 +303,18 @@ def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> B
             "the grid ends", xc_lo, xc_hi)
     u_initial = solve_equilibrium(model, x0)
 
-    probe_node = model.node_nearest(0.25 * length)
-    axial, transverse, _ = model.node_dofs(probe_node)
+    axial, transverse, _ = model.node_dofs(model.node_nearest(0.25 * length))
 
     database = database if database is not None else (
         build_scenario_database(cfg, model) if need_database else None
     )
 
     return BeamScenario(
-        config=cfg, model=model, pulse=model.pulse,
+        config=cfg, model=model,
         omega_f=omega_f, omega_cut=omega_cut, frequencies=freqs,
         x0=x0, amplitude=amplitude,
         dt=dt, n_steps=n_steps, times=times,
         u_initial=u_initial, forcing=forcing, load_vector=load_vector,
-        with_md=d["with_md"], probe_node=probe_node,
         probe_dofs=(axial, transverse), database=database,
     )
 
@@ -342,7 +330,6 @@ class MethodResult:
     trajectory: Trajectory
     displacement: np.ndarray
     runtime: float
-    extras: dict = field(default_factory=dict)
 
 
 class _GridLookup:
@@ -410,7 +397,7 @@ def _constant_basis(scn, method):
                  [j + 1 for j in idx], basis.shape[1])
     else:
         m = scn.config.basis_size or scn.database.m
-        basis = modal_pod(stack_columns(scn.database), m)
+        basis = modal_pod(stack_columns(scn.database.entries), m)
     return basis
 
 
@@ -524,7 +511,7 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
         "steps_per_cycle": cfg.steps_per_cycle,
         "omega_f": scn.omega_f,
         "frequencies_mid": scn.frequencies.tolist(),
-        "pulse_height": scn.pulse.height,
+        "pulse_height": scn.model.pulse.height,
         "methods": {
             name: {
                 "basis_size": res.basis_size,

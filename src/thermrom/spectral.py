@@ -26,6 +26,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ORTHONORMALITY_TOL = 1e-10
+MD_STEP_SCALE = 1e-5
+# Least |R_ii| of the QR factor of the unit-norm local-basis columns for
+# which a column counts as independent.
+BASIS_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -157,17 +161,17 @@ def vibration_modes(model, u_eq, x_c, k, method="dense", sign_reference=None):
     return np.sqrt(vals), _fix_signs(vecs, sign_reference)
 
 
-def modal_derivative(model, u_eq, x_c, phi_i, phi_j, step_scale=1e-5):
+def modal_derivative(model, u_eq, x_c, phi_i, phi_j):
     """Static sensitivity of mode ``phi_i`` to a perturbation along ``phi_j``.
 
     Solves ``K_t(u_eq) theta = -[dK_t/du . phi_j] phi_i`` where the
     directional derivative of the tangent is computed by central finite
     differences along ``phi_j`` with step
-    ``h = step_scale * L / max(|phi_j|_inf, 1)``. Returns the raw
+    ``h = MD_STEP_SCALE * L / max(|phi_j|_inf, 1)``. Returns the raw
     (unnormalized) derivative; it vanishes identically for linear
     kinematics.
     """
-    h = step_scale * model.characteristic_length / max(np.max(np.abs(phi_j)), 1.0)
+    h = MD_STEP_SCALE * model.characteristic_length / max(np.max(np.abs(phi_j)), 1.0)
     k_plus = model.tangent_stiffness(u_eq + h * phi_j, x_c)
     k_minus = model.tangent_stiffness(u_eq - h * phi_j, x_c)
     rhs = -((k_plus - k_minus) / (2.0 * h)) @ phi_i
@@ -180,8 +184,7 @@ def modal_derivative(model, u_eq, x_c, phi_i, phi_j, step_scale=1e-5):
         ) from exc
 
 
-def build_local_basis(model, x_c, k, with_md=False, u_guess=None, rank_tol=1e-10,
-                      sign_reference=None):
+def build_local_basis(model, x_c, k, with_md=False, u_guess=None, sign_reference=None):
     """Assemble and orthonormalize the local basis at one configuration.
 
     Stacks the ``k`` lowest modes (and, with ``with_md``, all
@@ -219,7 +222,7 @@ def build_local_basis(model, x_c, k, with_md=False, u_guess=None, rank_tol=1e-10
     scaled = raw / norms
     q, r = np.linalg.qr(scaled)
     diag = np.diagonal(r)
-    dependent = np.flatnonzero(np.abs(diag) <= rank_tol)
+    dependent = np.flatnonzero(np.abs(diag) <= BASIS_RANK_TOL)
     if dependent.size:
         names = [labels[i] for i in dependent]
         raise BasisRankError(

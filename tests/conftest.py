@@ -10,8 +10,7 @@ def coarse_props(rise=0.0, n_elements=12):
 
 
 def coarse_pulse(height=40.0, length=0.1):
-    return TemperaturePulse(height=height, width=0.2 * length,
-                            center_start=0.5 * length, travel_amplitude=0.3 * length)
+    return TemperaturePulse(height=height, width=0.2 * length)
 
 
 @pytest.fixture(scope="session")

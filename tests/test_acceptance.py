@@ -129,7 +129,7 @@ def test_criterion_1_nonlinear_comparison(nonlinear_compare_bundle):
         "mms-o1": _projection_floor_adaptive(scn, u_ref),
         "modal": _projection_floor_constant(u_ref, modal_basis),
         "modal-pod": _projection_floor_constant(
-            u_ref, modal_pod(stack_columns(db), sizes["modal-pod"])),
+            u_ref, modal_pod(stack_columns(db.entries), sizes["modal-pod"])),
     }
     wall = bundle.summary["wall_time_s"]
     detail = (
@@ -206,7 +206,7 @@ def test_criterion_4_stacking_ranks():
     for scenario, expected in (("straight-linear", 93), ("curved-linear", 95)):
         cfg = ScenarioConfig(scenario=scenario, seed=SEED)
         db = build_scenario_database(cfg)
-        sigmas = singular_value_profile(stack_columns(db))
+        sigmas = singular_value_profile(stack_columns(db.entries))
         ranks[scenario] = int(np.sum(sigmas > 5e-14 * sigmas[0]))
     detail = (f"straight rank={ranks['straight-linear']} (93 +- 5), "
               f"curved rank={ranks['curved-linear']} (95 +- 5)")
@@ -222,8 +222,7 @@ def test_criterion_4_stacking_ranks():
 
 def _property_beam():
     props = BeamProperties(n_elements=12)
-    pulse = TemperaturePulse(height=40.0, width=0.02, center_start=0.05,
-                             travel_amplitude=0.02)
+    pulse = TemperaturePulse(height=40.0, width=0.02)
     return BeamModel(props, pulse)
 
 

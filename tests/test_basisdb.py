@@ -17,6 +17,7 @@ from thermrom.basisdb import (
     stack_columns,
     stack_orthonormalize,
 )
+from thermrom.cli import main
 from thermrom.errors import AlignmentError, ContractError
 
 
@@ -221,27 +222,27 @@ def test_derivative_chain_rule_in_slow_phase(db_curved_small):
 # -- stacking -----------------------------------------------------------------------
 
 def test_stack_shape_and_blocks(db_curved_small):
-    stacked = stack_columns(db_curved_small)
-    assert stacked.matrix.shape == (db_curved_small.n,
-                                    len(db_curved_small) * db_curved_small.m)
-    assert stacked.n_columns == 7 * 9
+    stacked = stack_columns(db_curved_small.entries)
+    assert stacked.shape == (db_curved_small.n, 7 * 9)
+    for j, entry in enumerate(db_curved_small.entries):
+        assert np.array_equal(stacked[:, j * 9:(j + 1) * 9], entry.matrix)
 
 
 def test_stack_duplicate_rank(db_curved_small, rng):
     entry = db_curved_small.entries[0]
-    basis = stack_orthonormalize([entry, entry])
+    basis = stack_orthonormalize(stack_columns([entry, entry]))
     assert basis.shape[1] == entry.m
 
 
 def test_stack_doubled_block_singular_values(rng):
     v = random_orthonormal(30, 4, rng)
-    sigmas = singular_value_profile(stack_columns([v, v]))
+    sigmas = singular_value_profile(np.hstack([v, v]))
     np.testing.assert_allclose(sigmas[:4], np.sqrt(2.0), rtol=1e-12)
     assert np.all(sigmas[4:] < 1e-12)
 
 
 def test_modal_pod_full_rank_spans_stack(db_curved_small):
-    stacked = stack_columns(db_curved_small)
+    stacked = stack_columns(db_curved_small.entries)
     full = stack_orthonormalize(stacked)
     pod = modal_pod(stacked, full.shape[1])
     p1 = full @ full.T
@@ -251,7 +252,7 @@ def test_modal_pod_full_rank_spans_stack(db_curved_small):
 
 def test_modal_pod_repeated_basis(rng):
     v = random_orthonormal(30, 4, rng)
-    pod = modal_pod(stack_columns([v, v, v]), 4)
+    pod = modal_pod(np.hstack([v, v, v]), 4)
     p1 = pod @ pod.T
     p2 = v @ v.T
     assert np.linalg.norm(p1 - p2) <= 1e-10
@@ -265,7 +266,7 @@ def test_modal_pod_rank_limit(db_curved_small):
 
 def test_singular_profile_single_block(rng):
     v = random_orthonormal(30, 5, rng)
-    sigmas = singular_value_profile(stack_columns([v]))
+    sigmas = singular_value_profile(v)
     np.testing.assert_allclose(sigmas, np.ones(5), rtol=1e-12)
 
 
@@ -276,7 +277,7 @@ def test_md_database_profile_has_no_early_knee():
 
     cfg = ScenarioConfig(scenario="curved-nonlinear")
     db = build_scenario_database(cfg)
-    sigmas = singular_value_profile(stack_columns(db))
+    sigmas = singular_value_profile(stack_columns(db.entries))
     assert sigmas[db.m - 1] / sigmas[0] > 1e-2
 
 
@@ -302,6 +303,25 @@ def test_database_save_deterministic(tmp_path, db_curved_small):
         if path_a.is_file():
             path_b = tmp_path / "b" / path_a.relative_to(tmp_path / "a")
             assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def _drop_grid(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("grid")))
+
+
+@pytest.mark.parametrize("broken, corrupt", [
+    ("entry_01/basis.mtx", lambda path: path.unlink()),
+    ("db_meta.txt", _drop_grid),
+    ("entry_02/frequencies.txt", lambda path: path.write_text("1.0 abc\n")),
+])
+def test_load_corrupt_database(tmp_path, db_curved_small, capsys, broken, corrupt):
+    save_database(db_curved_small, tmp_path / "db")
+    corrupt(tmp_path / "db" / broken)
+    with pytest.raises(ContractError, match=broken.replace("/", ".")):
+        load_database(tmp_path / "db")
+    assert main(["db", "inspect", str(tmp_path / "db")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_load_missing_directory(tmp_path):

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse, pulse_center, pulse_temperature
+from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse, pulse_temperature
 from thermrom.errors import ContractError
 from thermrom.models import validate_model
+from thermrom.scenarios import ScenarioConfig, build_beam_scenario
 
 L = 0.1
 
 
-def make_pulse(height=40.0, width=0.02, x0=0.05, amp=0.03):
-    return TemperaturePulse(height=height, width=width, center_start=x0,
-                            travel_amplitude=amp)
+def make_pulse(height=40.0, width=0.02):
+    return TemperaturePulse(height=height, width=width)
 
 
 # -- temperature pulse -------------------------------------------------------
@@ -39,14 +39,18 @@ def test_pulse_integral_quadrature_oracle():
 
 
 def test_pulse_center_motion():
-    pulse = make_pulse(x0=0.05, amp=0.03)
-    assert pulse_center(0.0, pulse) == pytest.approx(0.05)
-    assert pulse_center(np.pi / 2.0, pulse) == pytest.approx(0.08)
+    cfg = ScenarioConfig(scenario="straight-linear", eps=1e-2)
+    scn = build_beam_scenario(cfg, need_database=False)
+    assert scn.xc_of_tau(0.0) == pytest.approx(0.05)
+    assert scn.xc_of_tau(np.pi / 2.0) == pytest.approx(0.08)
     # half-length start, 0.3 L amplitude keeps the center inside [0.2 L, 0.8 L]
     tau = np.linspace(0.0, 2.0 * np.pi, 101)
-    centers = pulse_center(tau, pulse)
+    centers = scn.xc_of_tau(tau)
     assert centers.min() == pytest.approx(0.2 * L)
     assert centers.max() == pytest.approx(0.8 * L)
+    h = 1e-6
+    fd = (scn.xc_of_tau(tau + h) - scn.xc_of_tau(tau - h)) / (2.0 * h)
+    np.testing.assert_allclose(scn.dxc_dtau(tau), fd, rtol=0.0, atol=1e-9)
 
 
 # -- mass ---------------------------------------------------------------------
@@ -121,7 +125,7 @@ def test_linear_mode_is_affine(beam_curved_lin, rng):
 
 
 def test_thermal_load_nonzero(beam_straight_nl):
-    b = beam_straight_nl.thermal_load(0.05)
+    b = beam_straight_nl.internal_force(np.zeros(beam_straight_nl.dof_count), 0.05)
     assert np.linalg.norm(b) > 0.0
 
 
@@ -129,7 +133,7 @@ def test_thermal_load_consistency_linear(beam_curved_lin, rng):
     # b = f(0), K = K_t(0), and f(u) = K u + b exactly in linear mode
     model = beam_curved_lin
     x_c = 0.041
-    b = model.thermal_load(x_c)
+    b = model.internal_force(np.zeros(model.dof_count), x_c)
     k = model.tangent_stiffness(np.zeros(model.dof_count), x_c)
     for _ in range(3):
         u = 1e-4 * rng.standard_normal(model.dof_count)

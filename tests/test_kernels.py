@@ -154,7 +154,6 @@ def test_band_assembly_is_bit_identical_to_dense_scatter(beam, request, rng):
             assert np.array_equal(model.internal_force(u, x_c), f_ref[free])
             assert np.array_equal(k, k_free)
             assert np.array_equal(model.tangent_stiffness(u, x_c), k_free)
-            assert np.array_equal(kernels.band_to_dense(model.tangent_band(u, x_c)), k_free)
 
 
 def test_force_matches_force_and_tangent(beam_curved_nl, rng):

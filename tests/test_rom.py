@@ -1,6 +1,7 @@
 """Reduced transient systems: leading order, slow correction, constant
 basis, reconstruction."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from thermrom import beam, kernels
-from thermrom.basisdb import build_database, default_grid, interpolate_basis
-from thermrom.errors import ContractError
+from thermrom.basisdb import BasisDatabase, build_database, default_grid, interpolate_basis
+from thermrom.errors import ContractError, IntegrationError
 from thermrom.newmark import newmark_integrate
 from thermrom.rom import (
     AdaptiveRom,
@@ -124,6 +125,21 @@ def test_frozen_temperature_mms_equals_constant_basis(beam_curved_nl, db_nl):
     traj_c = newmark_integrate(rom_c, np.zeros(m), np.zeros(m), dt, 240)
     scale = np.abs(traj_a.displacement).max()
     assert np.abs(traj_a.displacement - traj_c.displacement).max() <= 1e-10 * scale
+
+
+def test_indefinite_reduced_mass_is_an_integration_error(beam_curved_nl, db_nl):
+    # nodes V and -V blend to the zero basis at mid cell, whose reduced mass
+    # is singular
+    entry = db_nl.entries[3]
+    db = BasisDatabase(grid=[0.03, 0.07], reference_index=0, kind=entry.kind, entries=[
+        dataclasses.replace(entry, matrix=entry.matrix),
+        dataclasses.replace(entry, matrix=-entry.matrix),
+    ])
+    rom = make_adaptive(beam_curved_nl, db, amp=0.0, x0=0.05)
+    with pytest.raises(IntegrationError, match=r"cell j = 0, w = 0\.5") as info:
+        rom.begin_step(0.0, 2e-4)
+    assert info.value.time == 2e-4
+    assert "x_c = 0.05" in str(info.value)
 
 
 def test_constant_basis_identity_equals_full(beam_straight_nl):

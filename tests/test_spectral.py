@@ -31,7 +31,7 @@ def test_equilibrium_linear_one_step(beam_curved_lin):
     u, info = solve_equilibrium(model, x_c, full_output=True)
     assert info["iterations"] == 1
     k = model.tangent_stiffness(np.zeros(model.dof_count), x_c)
-    b = model.thermal_load(x_c)
+    b = model.internal_force(np.zeros(model.dof_count), x_c)
     np.testing.assert_allclose(u, -np.linalg.solve(k, b), rtol=1e-10)
 
 
