@@ -25,13 +25,7 @@ from .basisdb import (
 from .beam import BeamModel, BeamProperties, TemperaturePulse, pulse_temperature
 from .forcing import PerturbationForcing, make_perturbation
 from .metrics import error_instant, error_uniform
-from .models import (
-    SecondOrderModel,
-    Trajectory,
-    TwoDofModel,
-    twodof_stiffness,
-    validate_model,
-)
+from .models import SecondOrderModel, Trajectory, validate_model
 from .newmark import NewmarkSettings, TransientSystem, newmark_integrate
 from .rom import (
     AdaptiveRom,
@@ -46,7 +40,6 @@ from .scenarios import (
     build_scenario_database,
     compare_methods,
     run_scenario,
-    scenario_twodof,
 )
 from .spectral import (
     LocalBasis,
@@ -55,5 +48,6 @@ from .spectral import (
     solve_equilibrium,
     vibration_modes,
 )
+from .twodof import TwoDofModel, scenario_twodof, twodof_stiffness
 
 __version__ = "0.1.0"

@@ -191,10 +191,10 @@ def build_database(model, grid, k, with_md=False, align=True):
 
 
 def _locate(db, x_c):
+    """``x_c`` clamped to the grid ends; the run reports how often a pulse
+    position lies outside them (``clamped_positions``)."""
     grid = db.grid
     if x_c < grid[0] or x_c > grid[-1]:
-        log.warning("x_c = %.6g outside the database span [%.6g, %.6g]; clamped",
-                    x_c, grid[0], grid[-1])
         x_c = min(max(x_c, grid[0]), grid[-1])
     return x_c
 
@@ -203,10 +203,10 @@ def cell_weight(db, x_c):
     """Grid cell ``j`` and blend weight ``w`` of a pulse position, so that
     the interpolated basis is ``(1 - w) V_j + w V_{j+1}``.
 
-    Positions outside the grid are clamped to the nearest end with a logged
-    warning; a single-entry database gives ``(0, 0.0)``. This is the one
-    place that decides the cell, for :func:`interpolate_basis` and for the
-    reduced models that blend precomputed per-node operators.
+    Positions outside the grid are clamped to the nearest end; a
+    single-entry database gives ``(0, 0.0)``. This is the one place that
+    decides the cell, for :func:`interpolate_basis` and for the reduced
+    models that blend precomputed per-node operators.
     """
     if len(db) == 1:
         return 0, 0.0
@@ -221,8 +221,8 @@ def interpolate_basis(db, x_c):
     """Entrywise piecewise-linear interpolation of the basis and equilibrium.
 
     Requires an aligned database; positions outside the grid are clamped to
-    the nearest end with a logged warning. On a grid node the stored entry is
-    returned verbatim. The blend is not re-orthonormalized.
+    the nearest end. On a grid node the stored entry is returned verbatim.
+    The blend is not re-orthonormalized.
     """
     if not db.aligned:
         raise ContractError("cannot interpolate a raw (unaligned) database")

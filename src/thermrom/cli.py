@@ -26,9 +26,8 @@ from .scenarios import (
     build_scenario_database,
     compare_methods,
     run_scenario,
-    scenario_twodof,
-    write_twodof_outputs,
 )
+from .twodof import scenario_twodof, write_twodof_outputs
 
 log = logging.getLogger("thermrom")
 
@@ -117,13 +116,10 @@ def _print_summary(summary):
 
 
 def _cmd_demo(args):
-    eps = args.eps if args.eps is not None else 0.01
-    result = scenario_twodof(
-        eps,
-        reduction=args.reduction,
-        cycles=args.cycles if args.cycles is not None else 5,
-        steps_per_cycle=args.steps_per_cycle or 50,
-    )
+    given = {key: getattr(args, key) for key in ("eps", "cycles", "steps_per_cycle")
+             if getattr(args, key) is not None}
+    result = scenario_twodof(reduction=args.reduction, **given)
+    eps = result.summary["eps"]
     out = _resolve_out(args.out, f"twodof_eps{eps:g}")
     write_twodof_outputs(result, out)
     lam = result.eigenvalues
@@ -163,7 +159,9 @@ def _cmd_write_config(args):
 
 def _add_common(parser, with_method=False):
     parser.add_argument("--config", help="configuration file (key = value sections)")
-    parser.add_argument("--scenario", choices=SCENARIO_NAMES)
+    parser.add_argument("--scenario", choices=SCENARIO_NAMES,
+                        help="beam scenario (the two-mass oscillator is "
+                             "'thermrom demo twodof')")
     parser.add_argument("--eps", type=float, help="scale separation")
     parser.add_argument("--cycles", type=int)
     parser.add_argument("--steps-per-cycle", dest="steps_per_cycle", type=int)
@@ -208,7 +206,7 @@ def build_parser():
     p_demo = sub.add_parser("demo", help="small demos")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_two = demo_sub.add_parser("twodof", help="two-mass oscillator demo")
-    p_two.add_argument("--eps", type=float, default=0.01)
+    p_two.add_argument("--eps", type=float)
     p_two.add_argument("--cycles", type=int)
     p_two.add_argument("--steps-per-cycle", dest="steps_per_cycle", type=int)
     p_two.add_argument("--reduction", default="adaptive-1-mode",

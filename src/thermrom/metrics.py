@@ -4,15 +4,11 @@ errors between a reference and a reduced solution history.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import ContractError
 
 __all__ = ["error_instant", "error_uniform"]
-
-log = logging.getLogger(__name__)
 
 
 def _as_history(u):
@@ -28,7 +24,7 @@ def error_instant(u_ref, u_red):
     """Per-sample relative error ``|u(t) - u_red(t)|_2 / |u(t)|_2``.
 
     Returns ``(errors, valid)``: samples where the reference norm vanishes
-    are NaN in ``errors`` and flagged False in ``valid`` (and logged).
+    are NaN in ``errors`` and flagged False in ``valid``.
     """
     u_ref = _as_history(u_ref)
     u_red = _as_history(u_red)
@@ -39,9 +35,6 @@ def error_instant(u_ref, u_red):
     valid = ref_norm > 0.0
     errors = np.full(ref_norm.shape, np.nan)
     errors[valid] = diff_norm[valid] / ref_norm[valid]
-    skipped = int(np.sum(~valid))
-    if skipped:
-        log.warning("error_instant: skipped %d samples with zero reference norm", skipped)
     return errors, valid
 
 

@@ -1,10 +1,9 @@
-"""Second-order mechanical model contract, the two-mass oscillator, and
-trajectory containers.
+"""Second-order mechanical model contract, its checks, and trajectory
+containers.
 
-A "temperature parameter" is a single scalar throughout: the pulse-center
-position for the beam, the temperature offset for the oscillator. Grids of
-such scalars generalise to product grids, but every experiment here is
-one-parameter.
+A "temperature parameter" is a single scalar throughout, such as the
+pulse-center position of the beam. Grids of such scalars generalise to
+product grids, but every experiment here is one-parameter.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .kernels import dense_to_band
 
 __all__ = [
     "SecondOrderModel",
-    "TwoDofModel",
-    "twodof_stiffness",
     "Trajectory",
     "CheckResult",
     "ValidationReport",
@@ -57,6 +54,9 @@ class SecondOrderModel(ABC):
 
         ``theta`` is accepted for models whose damping follows the
         temperature-dependent stiffness; constant-damping models ignore it.
+        The full system asks for it every step and converts it to band
+        storage only when it is a different array object from the last
+        step's, so a constant-damping model returns one (read-only) array.
         """
 
     @abstractmethod
@@ -93,73 +93,6 @@ class SecondOrderModel(ABC):
     def characteristic_length(self) -> float:
         """Length scale used for finite-difference step selection."""
         return 1.0
-
-
-def twodof_stiffness(temperature, a=1.0, b=20.0, alpha=2.0):
-    """Stiffness matrix of the two-mass oscillator at a temperature offset.
-
-    Three springs ground-mass1-mass2-ground with temperature-dependent
-    constants
-
-        k1 = a + b*(1 + cos(alpha*T) - sin(alpha*T))
-        k2 = b*cos(alpha*T)
-        k3 = a + b*(1 - cos(alpha*T) - sin(alpha*T))
-
-    assembled as ``[[k1 + k2, -k2], [-k2, k2 + k3]]``. The admissible offset
-    range is [-pi/2, pi/2]. Note that for large offsets these spring laws
-    produce an indefinite matrix; the computed eigenvalues are reported by
-    the demo rather than assumed constant.
-    """
-    t = float(temperature)
-    if not -np.pi / 2 <= t <= np.pi / 2:
-        raise ContractError(
-            f"temperature offset {t!r} outside the admissible range [-pi/2, pi/2]"
-        )
-    c = np.cos(alpha * t)
-    s = np.sin(alpha * t)
-    k1 = a + b * (1.0 + c - s)
-    k2 = b * c
-    k3 = a + b * (1.0 - c - s)
-    return np.array([[k1 + k2, -k2], [-k2, k2 + k3]])
-
-
-@dataclass(frozen=True)
-class TwoDofModel(SecondOrderModel):
-    """Two identical unit masses coupled by temperature-dependent springs.
-
-    Dampers are proportional to the springs, ``c_i = beta * k_i(T)``, hence
-    ``C(T) = beta * K(T)``.
-    """
-
-    mass_value: float = 1.0
-    a: float = 1.0
-    b: float = 20.0
-    alpha: float = 2.0
-    beta: float = 0.1
-
-    @property
-    def dof_count(self) -> int:
-        return 2
-
-    def mass(self):
-        return self.mass_value * np.eye(2)
-
-    def stiffness(self, theta):
-        return twodof_stiffness(theta, self.a, self.b, self.alpha)
-
-    def damping(self, theta=None):
-        if theta is None:
-            theta = 0.0
-        return self.beta * self.stiffness(theta)
-
-    def internal_force(self, u, theta):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise ContractError(f"expected a length-2 displacement, got shape {u.shape}")
-        return self.stiffness(theta) @ u
-
-    def tangent_stiffness(self, u, theta):
-        return self.stiffness(theta)
 
 
 # ---------------------------------------------------------------------------

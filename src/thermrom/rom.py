@@ -84,27 +84,25 @@ class FullSystem(TransientSystem):
     """Unreduced equations of motion of a second-order model.
 
     ``theta_of_t`` maps time to the temperature parameter (None for a cold
-    model), ``load`` is the applied force ``g(t)``. Works for the beam and
-    the two-mass oscillator alike; temperature-following damping is handled
-    through ``model.damping(theta)``. The temperature, the damping, the load
-    and the model's ``linearization`` (with the beam's Gauss-point
-    temperatures) are frozen at ``t_end`` of each step.
+    model), ``load`` is the applied force ``g(t)``. The temperature, the
+    damping ``model.damping(theta)``, the load and the model's
+    ``linearization`` (with the beam's Gauss-point temperatures) are frozen
+    at ``t_end`` of each step; the damping is re-banded only when the model
+    returns a new array.
 
     The iteration matrix is kept in band storage of the model's
     ``half_bandwidth`` and solved with a banded LU, so a Newton iteration
     costs O(n) for the beam; the residual uses the dense ``M`` and ``C``.
     """
 
-    def __init__(self, model, theta_of_t=None, load=None, temperature_damping=False):
+    def __init__(self, model, theta_of_t=None, load=None):
         self.model = model
         self.theta_of_t = theta_of_t or (lambda t: None)
         self.load = load or (lambda t: np.zeros(model.dof_count))
-        self.temperature_damping = temperature_damping
         self._p = model.half_bandwidth
         self._mass = model.mass()
         self._mass_band = dense_to_band(self._mass, self._p)
-        if not temperature_damping:
-            self._set_damping(model.damping())
+        self._damping = None
 
     @property
     def ndof(self):
@@ -113,14 +111,12 @@ class FullSystem(TransientSystem):
     def mass(self):
         return self._mass
 
-    def _set_damping(self, damping):
-        self._damping = damping
-        self._damping_band = dense_to_band(damping, self._p)
-
     def begin_step(self, t_start, t_end):
         theta = self.theta_of_t(t_end)
-        if self.temperature_damping:
-            self._set_damping(self.model.damping(theta))
+        damping = self.model.damping(theta)
+        if damping is not self._damping:
+            self._damping = damping
+            self._damping_band = dense_to_band(damping, self._p)
         self._linearize = self.model.linearization(theta)
         self._g = self.load(t_end)
 

@@ -1,5 +1,5 @@
-"""Experiment harness: scenario definitions, runs, method comparison, the
-two-mass oscillator demo and result persistence.
+"""Experiment harness for the beam: scenario definitions, runs, method
+comparison and result persistence.
 
 Beam scenarios integrate in physical time with the forcing frequency
 ``omega_f`` computed from the mid-span heated configuration; the pulse
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .basisdb import (
+    BasisDatabase,
     build_database,
     default_grid,
     modal_pod,
@@ -29,8 +30,8 @@ from .beam import BeamModel, BeamProperties, TemperaturePulse
 from .errors import ConfigError, ContractError
 from .forcing import make_perturbation
 from .metrics import error_instant, error_uniform
-from .models import Trajectory, TwoDofModel
-from .newmark import NewmarkSettings, TransientSystem, newmark_integrate
+from .models import Trajectory
+from .newmark import NewmarkSettings, newmark_integrate
 from .rom import (
     AdaptiveRom,
     ConstantBasisRom,
@@ -49,13 +50,11 @@ __all__ = [
     "build_scenario_database",
     "run_scenario",
     "compare_methods",
-    "scenario_twodof",
     "modal_subset_indices",
 ]
 
 log = logging.getLogger(__name__)
 
-SCENARIO_NAMES = ("twodof", "straight-linear", "curved-linear", "curved-nonlinear")
 METHOD_NAMES = ("hfm", "mms-o1", "mms-oeps", "modal", "modal-pod")
 
 # Reproduction presets for the "Modal" baseline subset (1-based grid indices).
@@ -93,6 +92,7 @@ _BEAM_DEFS = {
         damping_modulus=1.0e6,
     ),
 }
+SCENARIO_NAMES = tuple(_BEAM_DEFS)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ class BeamScenario:
     config: ScenarioConfig
     model: BeamModel
     omega_f: float
-    omega_cut: float
     frequencies: np.ndarray
     x0: float
     amplitude: float
@@ -229,8 +228,6 @@ class BeamScenario:
 
 def scenario_model(cfg) -> BeamModel:
     """Beam model (geometry, kinematics, pulse) for a beam scenario."""
-    if cfg.scenario == "twodof":
-        raise ConfigError("the two-mass demo has no beam model")
     d = _BEAM_DEFS[cfg.scenario]
     damping = (cfg.damping_modulus if cfg.damping_modulus is not None
                else d["damping_modulus"])
@@ -296,11 +293,14 @@ def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> B
     amplitude = d["amp_frac"] * length
     sin_lo, sin_hi = _sin_range(2.0 * np.pi * cfg.eps * cycles)
     xc_lo, xc_hi = x0 + amplitude * sin_lo, x0 + amplitude * sin_hi
-    if xc_lo < 0.0 or xc_hi > length:
+    grid = database.grid if database is not None else default_grid(length, cfg.db_points)
+    if xc_lo < grid[0] or xc_hi > grid[-1]:
         log.warning(
-            "pulse center range [%.4g, %.4g] extends past the beam span; the "
-            "temperature vanishes off the span and the basis is clamped at "
-            "the grid ends", xc_lo, xc_hi)
+            "pulse center range [%.4g, %.4g] extends past the database grid "
+            "[%.4g, %.4g]; the bases are clamped at the grid ends%s",
+            xc_lo, xc_hi, grid[0], grid[-1],
+            "" if 0.0 <= xc_lo and xc_hi <= length
+            else ", and the temperature vanishes off the beam span")
     u_initial = solve_equilibrium(model, x0)
 
     axial, transverse, _ = model.node_dofs(model.node_nearest(0.25 * length))
@@ -311,7 +311,7 @@ def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> B
 
     return BeamScenario(
         config=cfg, model=model,
-        omega_f=omega_f, omega_cut=omega_cut, frequencies=freqs,
+        omega_f=omega_f, frequencies=freqs,
         x0=x0, amplitude=amplitude,
         dt=dt, n_steps=n_steps, times=times,
         u_initial=u_initial, forcing=forcing, load_vector=load_vector,
@@ -364,7 +364,7 @@ def _run_hfm(scn):
         scn.dt, scn.n_steps, scn.newmark_settings(),
         metadata=_run_metadata(scn, "hfm"),
     )
-    return traj, traj.displacement.copy(), scn.model.dof_count
+    return traj, traj.displacement.copy()
 
 
 def _run_mms(scn, order):
@@ -433,7 +433,7 @@ def run_method(scn, method):
         raise ConfigError(f"unknown reduction method {method!r}")
     start = time.perf_counter()
     if method == "hfm":
-        traj, disp, m = _run_hfm(scn)
+        traj, disp = _run_hfm(scn)
         m = None
     elif method in ("mms-o1", "mms-oeps"):
         traj, disp, m = _run_mms(scn, 1 if method == "mms-o1" else 2)
@@ -503,6 +503,7 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
             continue
         errors[method] = _method_errors(reference, result, scn.probe_dofs)
 
+    x_c = scn.xc_of_t(scn.times)
     summary = {
         "scenario": cfg.scenario,
         "eps": cfg.eps,
@@ -512,6 +513,10 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
         "omega_f": scn.omega_f,
         "frequencies_mid": scn.frequencies.tolist(),
         "pulse_height": scn.model.pulse.height,
+        # Saved times whose pulse center lies outside the grid, where the
+        # bases are clamped to the end entries.
+        "clamped_positions": 0 if scn.database is None else int(np.count_nonzero(
+            (x_c < scn.database.grid[0]) | (x_c > scn.database.grid[-1]))),
         "methods": {
             name: {
                 "basis_size": res.basis_size,
@@ -561,209 +566,6 @@ def write_compare_outputs(bundle, out_dir):
 def run_scenario(cfg, out_dir=None, scenario=None):
     """Execute one configured run; reduced methods are compared against the
     reference solution. Returns the comparison bundle."""
-    if cfg.scenario == "twodof":
-        raise ConfigError("the two-mass oscillator has no beam run; use "
-                          "'thermrom demo twodof' (scenario_twodof in Python)")
     methods = ("hfm",) if cfg.method == "hfm" else ("hfm", cfg.method)
     out_dir = out_dir if out_dir is not None else cfg.out_dir
     return compare_methods(cfg, methods, scenario=scenario, out_dir=out_dir)
-
-
-# ---------------------------------------------------------------------------
-# two-mass oscillator demo
-# ---------------------------------------------------------------------------
-
-def _lowest_eigpair_2x2(k):
-    p, r, q = k[0, 0], k[0, 1], k[1, 1]
-    half_sum = 0.5 * (p + q)
-    dev = 0.5 * (p - q)
-    disc = float(np.hypot(dev, r))
-    lam = half_sum - disc
-    if disc == 0.0:
-        return lam, np.array([1.0, 0.0])
-    v1 = np.array([r, lam - p])
-    v2 = np.array([lam - q, r])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    return lam, v / np.linalg.norm(v)
-
-
-class _TwoDofAdaptiveRom(TransientSystem):
-    """Single-mode model tracking the instantaneous softest direction.
-
-    The basis is the lowest eigenvector of ``K(T)`` recomputed from the
-    exact 2x2 eigensolve at each step midpoint, with sign continuity from
-    step to step; the load is projected at the step end.
-    """
-
-    def __init__(self, model, temp_of_t, load):
-        self.model = model
-        self.temp_of_t = temp_of_t
-        self.load = load
-        self._phi = None
-        self._continuity = None
-        self._set_basis(temp_of_t(0.0))
-
-    @property
-    def ndof(self):
-        return 1
-
-    def _set_basis(self, temperature):
-        k = self.model.stiffness(temperature)
-        lam, phi = _lowest_eigpair_2x2(k)
-        if self._continuity is None:
-            if phi[np.argmax(np.abs(phi))] < 0.0:
-                phi = -phi
-        elif phi @ self._continuity < 0.0:
-            phi = -phi
-        self._continuity = phi
-        self._phi = phi
-        self._m_red = self.model.mass_value
-        self._k_red = float(phi @ k @ phi)
-        self._c_red = self.model.beta * self._k_red
-
-    def basis_chain(self, temperatures):
-        """Continuity-consistent basis at a temperature sequence (fresh chain)."""
-        saved = self._continuity
-        self._continuity = None
-        out = []
-        for temp in temperatures:
-            self._set_basis(temp)
-            out.append(self._phi)
-        self._continuity = saved
-        return np.array(out)
-
-    def begin_step(self, t_start, t_end):
-        self._set_basis(self.temp_of_t(0.5 * (t_start + t_end)))
-        self._g = np.array([self._phi @ self.load(t_end)])
-
-    def mass(self):
-        return np.array([[self._m_red]])
-
-    def residual(self, q, qd, qdd):
-        return self._m_red * qdd + self._c_red * qd + self._k_red * q - self._g
-
-    def iteration_matrix(self, c_acc, c_vel):
-        return np.array([[c_acc * self._m_red + c_vel * self._c_red + self._k_red]])
-
-
-@dataclass
-class TwoDofDemoResult:
-    eps: float
-    reduction: str
-    full: Trajectory
-    rom: Trajectory
-    rom_displacement: np.ndarray
-    uniform_error: float
-    instant_error: np.ndarray
-    temperatures: np.ndarray
-    eigenvalues: np.ndarray
-    summary: dict
-
-
-def scenario_twodof(eps, reduction="adaptive-1-mode", cycles=5, steps_per_cycle=50,
-                    temperature_amplitude=np.pi / 3.0, forcing_frequency=1.5,
-                    frozen_temperature=None, settings=None):
-    """Oscillator demo: full 2-dof solution vs a single-mode model.
-
-    The temperature varies as ``T = amplitude*sin(eps*t)`` (or is held at
-    ``frozen_temperature``); the forcing is ``[0, sin(forcing_frequency*t)]``
-    from rest. ``reduction`` is ``adaptive-1-mode`` (basis recomputed each
-    step) or ``fixed-1-mode`` (basis frozen at the initial temperature).
-    The computed stiffness eigenvalues along the temperature path are part
-    of the result; they are not constant for these spring laws, and the
-    spring matrix loses definiteness beyond temperature offsets of about
-    0.8, so the default duration keeps a slow sweep inside the stable
-    window while a fast sweep crosses it (where single-mode adaptation
-    visibly fails).
-    """
-    if reduction not in ("adaptive-1-mode", "fixed-1-mode"):
-        raise ConfigError(f"unknown twodof reduction {reduction!r}")
-    model = TwoDofModel()
-    if frozen_temperature is None:
-        def temp_of_t(t):
-            return temperature_amplitude * np.sin(eps * t)
-    else:
-        def temp_of_t(t):
-            return frozen_temperature
-
-    def load(t):
-        return np.array([0.0, np.sin(forcing_frequency * t)])
-
-    dt = (2.0 * np.pi / forcing_frequency) / steps_per_cycle
-    n_steps = int(cycles * steps_per_cycle)
-    settings = settings or NewmarkSettings()
-
-    full_system = FullSystem(model, theta_of_t=temp_of_t, load=load,
-                             temperature_damping=True)
-    zeros = np.zeros(2)
-    full = newmark_integrate(full_system, zeros, zeros, dt, n_steps, settings,
-                             metadata={"scenario": "twodof", "method": "hfm",
-                                       "eps": eps})
-
-    rom_temp = temp_of_t if reduction == "adaptive-1-mode" else (
-        lambda t, t0=temp_of_t(0.0): t0
-    )
-    rom_system = _TwoDofAdaptiveRom(model, rom_temp, load)
-    q0 = np.zeros(1)
-    rom = newmark_integrate(rom_system, q0, q0.copy(), dt, n_steps, settings,
-                            coordinate_space=f"reduced:{reduction}",
-                            metadata={"scenario": "twodof", "method": reduction,
-                                      "eps": eps})
-
-    temps = np.array([rom_temp(t) for t in full.times])
-    chain = rom_system.basis_chain(temps)
-    rom_disp = chain * rom.displacement[:, 0][:, None]
-
-    e_inst, _ = error_instant(full.displacement, rom_disp)
-    e_uniform = error_uniform(full.displacement, rom_disp)
-
-    true_temps = np.array([temp_of_t(t) for t in full.times])
-    eigenvalues = np.array([
-        np.linalg.eigvalsh(model.stiffness(temp)) for temp in true_temps
-    ])
-    summary = {
-        "scenario": "twodof",
-        "eps": eps,
-        "reduction": reduction,
-        "cycles": int(cycles),
-        "steps_per_cycle": int(steps_per_cycle),
-        "uniform_error": e_uniform,
-        "temperature_range": [float(true_temps.min()), float(true_temps.max())],
-        "stiffness_eigenvalue_range": [
-            [float(eigenvalues[:, 0].min()), float(eigenvalues[:, 0].max())],
-            [float(eigenvalues[:, 1].min()), float(eigenvalues[:, 1].max())],
-        ],
-    }
-    return TwoDofDemoResult(
-        eps=eps, reduction=reduction, full=full, rom=rom,
-        rom_displacement=rom_disp, uniform_error=e_uniform,
-        instant_error=e_inst, temperatures=true_temps,
-        eigenvalues=eigenvalues, summary=summary,
-    )
-
-
-def write_twodof_outputs(result, out_dir, forcing_frequency=1.5):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t_scaled = forcing_frequency * result.full.times
-    _write_csv(
-        out / "probes_hfm.csv",
-        ("t_scaled", "x1", "x2"),
-        (t_scaled, result.full.displacement[:, 0], result.full.displacement[:, 1]),
-    )
-    _write_csv(
-        out / f"probes_{result.reduction}.csv",
-        ("t_scaled", "x1", "x2"),
-        (t_scaled, result.rom_displacement[:, 0], result.rom_displacement[:, 1]),
-    )
-    _write_csv(
-        out / "errors.csv",
-        ("t_scaled", f"e_{result.reduction}"),
-        (t_scaled, np.nan_to_num(result.instant_error, nan=0.0)),
-    )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    result.full.save(out / "states_hfm.npz")
-    result.rom.save(out / f"states_{result.reduction}.npz")
-    return out

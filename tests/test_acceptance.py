@@ -34,13 +34,13 @@ from thermrom.scenarios import (
     build_scenario_database,
     compare_methods,
     modal_subset_indices,
-    scenario_twodof,
 )
 from thermrom.spectral import (
     modal_derivative,
     solve_equilibrium,
     vibration_modes,
 )
+from thermrom.twodof import scenario_twodof
 
 SEED = 2024
 

@@ -25,6 +25,16 @@ def test_demo_twodof(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demo" / "summary.json").exists()
 
 
+def test_demo_twodof_defaults(tmp_path, monkeypatch):
+    assert run_cli(["demo", "twodof"], monkeypatch, tmp_path) == 0
+    summary = json.loads(
+        (tmp_path / "outroot" / "twodof_eps0.01" / "summary.json").read_text())
+    assert (summary["eps"], summary["cycles"], summary["steps_per_cycle"]) == (0.01, 5, 50)
+    assert summary["reduction"] == "adaptive-1-mode"
+    # a zero count is a configuration error, not a silent default
+    assert run_cli(["demo", "twodof", "--steps-per-cycle", "0"], monkeypatch, tmp_path) == 2
+
+
 def test_run_subcommand(tmp_path, monkeypatch):
     code = run_cli(
         ["run", "--scenario", "curved-nonlinear", "--method", "mms-o1",
@@ -54,9 +64,20 @@ def test_run_method_from_config_file(file_method, flag, expect, tmp_path, monkey
 
 
 def test_run_twodof_points_to_demo(tmp_path, monkeypatch, capsys):
-    code = run_cli(["run", "--scenario", "twodof"], monkeypatch, tmp_path)
-    assert code == 2
-    assert "thermrom demo twodof" in capsys.readouterr().err
+    # twodof is no beam scenario: a usage error in every subcommand that
+    # takes one, whose help names the demo
+    for command in (["compare"], ["run"], ["db", "build"], ["svd-profile"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, "--scenario", "twodof"], monkeypatch, tmp_path)
+        assert exc.value.code == 2
+        assert "invalid choice: 'twodof'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"], monkeypatch, tmp_path)
+    assert exc.value.code == 0
+    assert "'thermrom demo twodof'" in " ".join(capsys.readouterr().out.split())
+    bad = tmp_path / "twodof.ini"
+    bad.write_text("[run]\nscenario = twodof\n")
+    assert run_cli(["run", "--config", str(bad)], monkeypatch, tmp_path) == 2
 
 
 def test_run_uses_env_output_root(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,15 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"thermrom.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"thermrom.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_class_annotations_resolve(name):
+    module = importlib.import_module(f"thermrom.{name}")
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if inspect.isclass(obj):
+            typing.get_type_hints(obj)  # NameError for an unimported annotation
 
 
 def test_package_imports_resolve():

@@ -17,9 +17,8 @@ from thermrom.scenarios import (
     compare_methods,
     modal_subset_indices,
     run_scenario,
-    scenario_twodof,
-    write_twodof_outputs,
 )
+from thermrom.twodof import scenario_twodof, write_twodof_outputs
 
 
 SMOKE = dict(eps=5e-3, cycles=1, steps_per_cycle=20, n_elements=12, db_points=5,
@@ -193,6 +192,15 @@ def test_twodof_fixed_vs_adaptive(tmp_path):
     assert adaptive.reduction == "adaptive-1-mode"
 
 
+def test_twodof_demo_logs_no_warning(caplog):
+    # the demo starts from rest: its first sample has a zero reference norm,
+    # which the valid mask flags and no warning repeats
+    with caplog.at_level(logging.WARNING, logger="thermrom"):
+        result = scenario_twodof(0.01)
+    assert not caplog.records
+    assert np.isnan(result.instant_error[0])
+
+
 # -- configuration files ------------------------------------------------------------
 
 def test_example_config_parses(tmp_path):
@@ -271,10 +279,29 @@ def test_config_parses_every_field_to_its_type(tmp_path):
 @pytest.mark.parametrize("overrides, warns", [
     ({}, False),                          # half sweep: x_c in [0.01, 0.09]
     ({"eps": 0.25, "cycles": 3}, True),   # tau reaches 3 pi / 2: x_c = -0.07
-], ids=["default-half-sweep", "sweep-past-pi"])
+    ({"eps": 0.0516, "cycles": 10}, True),  # x_c = 0.002: past the grid, on the span
+], ids=["default-half-sweep", "sweep-past-pi", "past-the-grid"])
 def test_pulse_range_warning_follows_swept_phase(overrides, warns, caplog):
     cfg = ScenarioConfig(scenario="curved-nonlinear", n_elements=12, **overrides)
     with caplog.at_level(logging.WARNING, logger="thermrom.scenarios"):
         build_beam_scenario(cfg, need_database=False)
     flagged = [r for r in caplog.records if "pulse center range" in r.getMessage()]
     assert bool(flagged) == warns
+
+
+def test_clamped_positions_counted_once_per_run(caplog):
+    # x_c = 0.01 + 0.08 sin(tau) sweeps [0.002, 0.09] m, past both ends of
+    # the 5-point grid [L/6, 5L/6]: one set-up warning, the count of saved
+    # times outside the grid in the summary, and no warning per clamp
+    cfg = ScenarioConfig(scenario="curved-nonlinear", method="mms-o1",
+                         **{**SMOKE, "eps": 0.0516, "cycles": 10})
+    with caplog.at_level(logging.WARNING, logger="thermrom"):
+        bundle = run_scenario(cfg)
+    scn = bundle.scenario
+    x_c = scn.x0 + scn.amplitude * np.sin(cfg.eps * scn.omega_f * scn.times)
+    grid = scn.database.grid
+    outside = int(np.count_nonzero((x_c < grid[0]) | (x_c > grid[-1])))
+    assert 0 < outside < x_c.size
+    assert bundle.summary["clamped_positions"] == outside
+    [warning] = caplog.records
+    assert "extends past the database grid" in warning.getMessage()

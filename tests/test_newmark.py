@@ -5,9 +5,9 @@ import pytest
 
 from thermrom.beam import BeamModel
 from thermrom.errors import ContractError, IntegrationError
-from thermrom.models import TwoDofModel
 from thermrom.newmark import NewmarkSettings, TransientSystem, newmark_integrate
 from thermrom.rom import FullSystem
+from thermrom.twodof import TwoDofModel
 
 
 class Linear1Dof(TransientSystem):
@@ -34,12 +34,10 @@ class Linear1Dof(TransientSystem):
         return np.array([[c_acc + c_vel * self.c + self.omega**2]])
 
 
-def test_settings_stability_bounds():
-    NewmarkSettings()  # average acceleration is fine
+def test_settings_max_newton_bound():
+    NewmarkSettings(max_newton=1)
     with pytest.raises(ContractError):
-        NewmarkSettings(beta=0.1, gamma=0.5)
-    with pytest.raises(ContractError):
-        NewmarkSettings(beta=0.25, gamma=0.4)
+        NewmarkSettings(max_newton=0)
 
 
 def test_second_order_convergence_analytic_oracle():
@@ -96,7 +94,6 @@ def test_bounded_oscillation_fixed_stable_temperature():
         model,
         theta_of_t=lambda t: temperature,
         load=lambda t: np.array([0.0, np.sin(1.5 * t)]),
-        temperature_damping=True,
     )
     dt = (2.0 * np.pi / 1.5) / 50.0
     traj = newmark_integrate(system, np.zeros(2), np.zeros(2), dt, 3000)

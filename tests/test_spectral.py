@@ -233,7 +233,7 @@ def test_local_basis_rank_error_names_columns():
     # a constant-tangent model has exactly zero modal derivatives, so the
     # md-enriched stack is rank deficient and the offender is named
     from thermrom.errors import BasisRankError
-    from thermrom.models import TwoDofModel
+    from thermrom.twodof import TwoDofModel
 
     with pytest.raises(BasisRankError) as err:
         build_local_basis(TwoDofModel(), 0.0, k=1, with_md=True)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from thermrom.errors import ContractError
-from thermrom.models import Trajectory, TwoDofModel, twodof_stiffness, validate_model
+from thermrom.models import Trajectory, validate_model
+from thermrom.twodof import TwoDofModel, twodof_stiffness
 
 
 def test_stiffness_at_zero_offset():
