@@ -151,7 +151,10 @@ def build_database(model, grid, k, with_md=False, align=True):
             entry = build_local_basis(model, x_c, k, with_md=with_md,
                                       u_guess=u_guess, sign_reference=sign_reference)
         except Exception as exc:
-            raise type(exc)(f"database build failed at x_c = {x_c!r}: {exc}") from exc
+            # annotate in place: the type and its data (residual history,
+            # dependent columns) stay with the exception
+            exc.args = (f"database build failed at x_c = {x_c}: {exc}", *exc.args[1:])
+            raise
         entries.append(entry)
         u_guess = entry.u_eq
         sign_reference = entry.info.get("modes")

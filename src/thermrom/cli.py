@@ -29,8 +29,6 @@ from .scenarios import (
 )
 from .twodof import scenario_twodof, write_twodof_outputs
 
-log = logging.getLogger("thermrom")
-
 
 def _out_root():
     return Path(os.environ.get("THERMROM_OUT", "thermrom_runs"))

@@ -4,7 +4,6 @@ solve per step; dimension-agnostic, so full and reduced systems share it.
 
 from __future__ import annotations
 
-import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -14,8 +13,6 @@ from .errors import ContractError, IntegrationError
 from .models import Trajectory
 
 __all__ = ["NewmarkSettings", "TransientSystem", "newmark_integrate"]
-
-log = logging.getLogger(__name__)
 
 
 #: Average-acceleration Newmark parameters: unconditionally stable and

@@ -51,8 +51,6 @@ Every ``residual`` keeps the tangent callable of its state, and
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -68,8 +66,6 @@ __all__ = [
     "ConstantBasisRom",
     "reconstruct",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):

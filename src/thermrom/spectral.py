@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BasisRankError, ContractError, SolverError, UnstableConfigurationError
 
@@ -64,7 +62,7 @@ class LocalBasis:
             raise ContractError(f"basis columns not orthonormal, |V'V - I| = {gram_dev:.2e}")
         if np.any(self.frequencies <= 0.0):
             raise UnstableConfigurationError(
-                f"non-positive frequency at x_c = {self.x_c!r}"
+                f"non-positive frequency at x_c = {self.x_c}"
             )
         if np.any(np.diff(self.frequencies) < 0.0):
             raise ContractError("frequencies must be ascending")
@@ -93,7 +91,7 @@ def solve_equilibrium(model, x_c, u_guess=None, rtol=1e-9, max_iter=50, full_out
         if it >= max_iter:
             raise SolverError(
                 f"equilibrium Newton did not converge in {max_iter} iterations "
-                f"at x_c = {x_c!r} (last residual {history[-1]:.3e})",
+                f"at x_c = {x_c} (last residual {history[-1]:.3e})",
                 residual_history=history,
             )
         du = np.linalg.solve(k, -f)
@@ -107,7 +105,7 @@ def solve_equilibrium(model, x_c, u_guess=None, rtol=1e-9, max_iter=50, full_out
         np.linalg.cholesky(0.5 * (k + k.T))
     except np.linalg.LinAlgError:
         stable = False
-        log.warning("indefinite tangent at equilibrium, x_c = %r: unstable equilibrium", x_c)
+        log.warning("indefinite tangent at equilibrium, x_c = %s: unstable equilibrium", x_c)
     if full_output:
         return u, {"residuals": np.array(history), "iterations": it, "stable": stable}
     return u
@@ -127,61 +125,60 @@ def _fix_signs(phi, reference=None):
     return phi
 
 
-def vibration_modes(model, u_eq, x_c, k, method="dense", sign_reference=None):
+def vibration_modes(model, u_eq, x_c, k, sign_reference=None):
     """Lowest-k mass-normalized modes of the tangent stiffness at ``u_eq``.
 
-    Solves ``[K_t(u_eq, x_c) - omega^2 M] phi = 0`` and returns ascending
-    circular frequencies with ``phi_i' M phi_j = delta_ij``. Sign convention:
-    the largest-magnitude entry of each mode is positive, or continuity with
-    ``sign_reference`` columns when given (used when sweeping a parameter
-    grid). ``method`` is ``"dense"`` or ``"shift-invert"`` (ARPACK around
-    zero); both must agree, which the test suite cross-checks.
+    Solves ``[K_t(u_eq, x_c) - omega^2 M] phi = 0`` with dense ``eigh`` and
+    returns ascending circular frequencies with ``phi_i' M phi_j = delta_ij``.
+    Sign convention: the largest-magnitude entry of each mode is positive,
+    or continuity with ``sign_reference`` columns when given (used when
+    sweeping a parameter grid).
     """
     n = model.dof_count
     if not 1 <= k <= n:
         raise ContractError(f"mode count {k} outside [1, {n}]")
     kt = model.tangent_stiffness(u_eq, x_c)
-    m = model.mass()
-    if method == "dense":
-        vals, vecs = sla.eigh(kt, m, subset_by_index=(0, k - 1))
-    elif method == "shift-invert":
-        vals, vecs = spla.eigsh(sp.csc_matrix(kt), k=k, M=sp.csc_matrix(m), sigma=0.0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        # ARPACK returns M-orthonormal vectors; re-normalize to be safe.
-        for j in range(k):
-            vecs[:, j] /= np.sqrt(vecs[:, j] @ m @ vecs[:, j])
-    else:
-        raise ContractError(f"unknown eigensolver method {method!r}")
+    vals, vecs = sla.eigh(kt, model.mass(), subset_by_index=(0, k - 1))
     if vals[0] <= 0.0:
         raise UnstableConfigurationError(
-            f"tangent stiffness not positive definite at x_c = {x_c!r} "
+            f"tangent stiffness not positive definite at x_c = {x_c} "
             f"(lowest eigenvalue {vals[0]:.3e})"
         )
     return np.sqrt(vals), _fix_signs(vecs, sign_reference)
 
 
-def modal_derivative(model, u_eq, x_c, phi_i, phi_j):
-    """Static sensitivity of mode ``phi_i`` to a perturbation along ``phi_j``.
+def modal_derivative(model, u_eq, x_c, phi):
+    """Static modal derivatives of the modes ``phi`` (n x k), all ``i <= j``.
 
-    Solves ``K_t(u_eq) theta = -[dK_t/du . phi_j] phi_i`` where the
-    directional derivative of the tangent is computed by central finite
-    differences along ``phi_j`` with step
-    ``h = MD_STEP_SCALE * L / max(|phi_j|_inf, 1)``. Returns the raw
-    (unnormalized) derivative; it vanishes identically for linear
+    Column ``(i, j)`` solves ``K_t(u_eq) theta_ij = -[dK_t/du . phi_j] phi_i``,
+    the sensitivity of mode ``phi_i`` to a perturbation along ``phi_j``.
+    The columns come in the order md11, md12, ..., md1k, md22, ..., mdkk.
+    ``K_t(u_eq)`` is built once; the directional derivative of the tangent
+    is a central finite difference along ``phi_j`` with step
+    ``h = MD_STEP_SCALE * L / max(|phi_j|_inf, 1)``, built once per
+    direction and reused for every ``i <= j``. Returns the raw
+    (unnormalized) derivatives; they vanish identically for linear
     kinematics.
     """
-    h = MD_STEP_SCALE * model.characteristic_length / max(np.max(np.abs(phi_j)), 1.0)
-    k_plus = model.tangent_stiffness(u_eq + h * phi_j, x_c)
-    k_minus = model.tangent_stiffness(u_eq - h * phi_j, x_c)
-    rhs = -((k_plus - k_minus) / (2.0 * h)) @ phi_i
+    k = phi.shape[1]
     kt = model.tangent_stiffness(u_eq, x_c)
-    try:
-        return np.linalg.solve(kt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableConfigurationError(
-            f"singular tangent stiffness at x_c = {x_c!r}"
-        ) from exc
+    theta = np.empty((phi.shape[0], k * (k + 1) // 2))
+    for j in range(k):
+        phi_j = phi[:, j]
+        h = MD_STEP_SCALE * model.characteristic_length / max(np.max(np.abs(phi_j)), 1.0)
+        k_plus = model.tangent_stiffness(u_eq + h * phi_j, x_c)
+        k_minus = model.tangent_stiffness(u_eq - h * phi_j, x_c)
+        minus_dk = -((k_plus - k_minus) / (2.0 * h))
+        for i in range(j + 1):
+            # the pairs of row i start at column i*k - i*(i-1)/2
+            column = i * (2 * k - i + 1) // 2 + j - i
+            try:
+                theta[:, column] = np.linalg.solve(kt, minus_dk @ phi[:, i])
+            except np.linalg.LinAlgError as exc:
+                raise UnstableConfigurationError(
+                    f"singular tangent stiffness at x_c = {x_c}"
+                ) from exc
+    return theta
 
 
 def build_local_basis(model, x_c, k, with_md=False, u_guess=None, sign_reference=None):
@@ -207,12 +204,8 @@ def build_local_basis(model, x_c, k, with_md=False, u_guess=None, sign_reference
     kind = "vm-only"
     if with_md:
         kind = "vm+md"
-        mds = []
-        for i in range(k):
-            for j in range(i, k):
-                mds.append(modal_derivative(model, u_eq, x_c, phi[:, i], phi[:, j]))
-                labels.append(f"md{i + 1}{j + 1}")
-        columns.append(np.column_stack(mds))
+        columns.append(modal_derivative(model, u_eq, x_c, phi))
+        labels += [f"md{i + 1}{j + 1}" for i in range(k) for j in range(i, k)]
     raw = np.column_stack(columns)
 
     norms = np.linalg.norm(raw, axis=0)
@@ -226,7 +219,7 @@ def build_local_basis(model, x_c, k, with_md=False, u_guess=None, sign_reference
     if dependent.size:
         names = [labels[i] for i in dependent]
         raise BasisRankError(
-            f"rank-deficient local basis at x_c = {x_c!r}; dependent columns {names}",
+            f"rank-deficient local basis at x_c = {x_c}; dependent columns {names}",
             names,
         )
     # deterministic orientation: positive R diagonal

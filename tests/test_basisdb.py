@@ -4,6 +4,7 @@ and persistence."""
 import numpy as np
 import pytest
 
+from thermrom import spectral
 from thermrom.basisdb import (
     build_database,
     congruent_align,
@@ -18,7 +19,8 @@ from thermrom.basisdb import (
     stack_orthonormalize,
 )
 from thermrom.cli import main
-from thermrom.errors import AlignmentError, ContractError
+from thermrom.errors import AlignmentError, ContractError, SolverError
+from thermrom.spectral import solve_equilibrium
 
 
 def random_orthonormal(n, m, rng):
@@ -134,6 +136,25 @@ def test_single_point_database(beam_curved_nl):
 def test_database_empty_grid(beam_curved_nl):
     with pytest.raises(ContractError):
         build_database(beam_curved_nl, [], k=2)
+
+
+def test_database_failure_keeps_the_error_data(beam_curved_nl, monkeypatch):
+    # the annotated error is the solver's own, residual history included
+    raised = []
+
+    def no_iterations(model, x_c, u_guess=None):
+        try:
+            return solve_equilibrium(model, x_c, u_guess=u_guess, max_iter=0)
+        except SolverError as exc:
+            raised.append(list(exc.residual_history))
+            raise
+
+    monkeypatch.setattr(spectral, "solve_equilibrium", no_iterations)
+    with pytest.raises(SolverError) as err:
+        build_database(beam_curved_nl, [0.03, 0.05], k=2)
+    assert err.value.residual_history == raised[0]
+    assert len(raised[0]) == 1 and raised[0][0] > 0.0
+    assert "database build failed at x_c = 0.03:" in str(err.value)
 
 
 # -- interpolation ----------------------------------------------------------------

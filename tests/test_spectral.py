@@ -6,6 +6,7 @@ import pytest
 from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse
 from thermrom.errors import ContractError, SolverError
 from thermrom.spectral import (
+    MD_STEP_SCALE,
     build_local_basis,
     modal_derivative,
     solve_equilibrium,
@@ -108,16 +109,6 @@ def test_eigenpair_residuals(beam_curved_nl):
         assert res <= 1e-8 * k_norm * np.linalg.norm(phi[:, i])
 
 
-def test_dense_and_shift_invert_agree(beam_curved_nl):
-    model = beam_curved_nl
-    u = solve_equilibrium(model, 0.05)
-    w_d, phi_d = vibration_modes(model, u, 0.05, 4, method="dense")
-    w_s, phi_s = vibration_modes(model, u, 0.05, 4, method="shift-invert")
-    np.testing.assert_allclose(w_d, w_s, rtol=1e-8)
-    for i in range(4):
-        assert abs(abs(phi_d[:, i] @ model.mass() @ phi_s[:, i]) - 1.0) < 1e-8
-
-
 def test_mode_shapes_change_with_pulse_position(beam60_straight):
     pulse = TemperaturePulse(height=40.0, width=0.02)
     model = BeamModel(beam60_straight.properties, pulse)
@@ -159,12 +150,48 @@ def test_sign_convention_deterministic(beam_curved_nl):
 
 # -- modal derivatives ------------------------------------------------------------
 
+def _pair_derivative(model, u_eq, x_c, phi_i, phi_j):
+    # oracle: one modal derivative per call, its own tangents each time
+    h = MD_STEP_SCALE * model.characteristic_length / max(np.max(np.abs(phi_j)), 1.0)
+    k_plus = model.tangent_stiffness(u_eq + h * phi_j, x_c)
+    k_minus = model.tangent_stiffness(u_eq - h * phi_j, x_c)
+    rhs = -((k_plus - k_minus) / (2.0 * h)) @ phi_i
+    return np.linalg.solve(model.tangent_stiffness(u_eq, x_c), rhs)
+
+
+def test_modal_derivative_matches_per_pair_oracle(beam_curved_nl):
+    model = beam_curved_nl
+    u = solve_equilibrium(model, 0.05)
+    _, phi = vibration_modes(model, u, 0.05, 3)
+    oracle = np.column_stack([_pair_derivative(model, u, 0.05, phi[:, i], phi[:, j])
+                              for i in range(3) for j in range(i, 3)])
+    theta = modal_derivative(model, u, 0.05, phi)
+    assert theta.shape == (model.dof_count, 6)
+    assert np.array_equal(theta, oracle)
+
+
+def test_local_basis_tangents_per_direction(beam_curved_nl, monkeypatch):
+    # after the equilibrium: one tangent for the modes, one for the
+    # derivatives' K_t(u_eq) and two per direction, 2k + 2 in all
+    model = beam_curved_nl
+    calls = []
+    tangent = model.tangent_stiffness
+
+    def counted(u, theta):
+        calls.append(theta)
+        return tangent(u, theta)
+
+    monkeypatch.setattr(model, "tangent_stiffness", counted)
+    build_local_basis(model, 0.05, k=5, with_md=True)
+    assert len(calls) <= 2 * 5 + 2
+
+
 def test_modal_derivative_symmetry(beam_curved_nl):
     model = beam_curved_nl
     u = solve_equilibrium(model, 0.05)
     _, phi = vibration_modes(model, u, 0.05, 3)
-    th_12 = modal_derivative(model, u, 0.05, phi[:, 0], phi[:, 1])
-    th_21 = modal_derivative(model, u, 0.05, phi[:, 1], phi[:, 0])
+    th_12 = modal_derivative(model, u, 0.05, phi[:, [0, 1]])[:, 1]
+    th_21 = modal_derivative(model, u, 0.05, phi[:, [1, 0]])[:, 1]
     assert np.linalg.norm(th_12 - th_21) <= 1e-4 * np.linalg.norm(th_12)
 
 
@@ -175,7 +202,7 @@ def test_modal_derivative_axial_dominated(beam_straight_nl):
     cold = BeamModel(model.properties, TemperaturePulse(height=0.0, width=0.02))
     u0 = np.zeros(cold.dof_count)
     _, phi = vibration_modes(cold, u0, None, 1)
-    theta = modal_derivative(cold, u0, None, phi[:, 0], phi[:, 0])
+    theta = modal_derivative(cold, u0, None, phi)[:, 0]
     axial = np.linalg.norm(theta[0::3])
     trans = np.linalg.norm(np.concatenate([theta[1::3], theta[2::3]]))
     assert trans < 0.01 * axial
@@ -185,7 +212,7 @@ def test_modal_derivative_zero_for_linear(beam_curved_lin):
     model = beam_curved_lin
     u = solve_equilibrium(model, 0.05)
     _, phi = vibration_modes(model, u, 0.05, 2)
-    theta = modal_derivative(model, u, 0.05, phi[:, 0], phi[:, 1])
+    theta = modal_derivative(model, u, 0.05, phi)[:, 1]
     scale = np.linalg.norm(phi[:, 0])
     assert np.linalg.norm(theta) < 1e-6 * scale
 
@@ -213,11 +240,7 @@ def test_local_basis_orthonormal_and_span_preserving(beam_curved_nl):
     # projector oracle: the span equals the raw [modes, derivatives] span
     u = solve_equilibrium(model, 0.05)
     _, phi = vibration_modes(model, u, 0.05, 3)
-    cols = [phi[:, i] for i in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            cols.append(modal_derivative(model, u, 0.05, phi[:, i], phi[:, j]))
-    raw = np.column_stack(cols)
+    raw = np.column_stack([phi, modal_derivative(model, u, 0.05, phi)])
     q_raw, _ = np.linalg.qr(raw / np.linalg.norm(raw, axis=0))
     p1 = v @ v.T
     p2 = q_raw @ q_raw.T
