@@ -302,8 +302,8 @@ def modal_pod(stacked, m, sv_tol=DEFAULT_SV_TOL):
     stacked array ("Modal-POD" baseline)."""
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(s > sv_tol * s[0]))
-    if m > rank:
-        raise ContractError(f"requested {m} modes but the stack has rank {rank}")
+    if not 1 <= m <= rank:
+        raise ContractError(f"requested {m} modes; need 1 <= m <= {rank}, the stack's rank")
     return u[:, :m]
 
 

@@ -164,7 +164,8 @@ def _add_common(parser, with_method=False):
     parser.add_argument("--cycles", type=int)
     parser.add_argument("--steps-per-cycle", dest="steps_per_cycle", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--basis-size", dest="basis_size", type=int)
+    parser.add_argument("--basis-size", dest="basis_size", type=int,
+                        help="modal-pod basis size (default: the database's)")
     parser.add_argument("--pulse-height", dest="pulse_height", type=float)
     parser.add_argument("--save-states", dest="save_states", action="store_true",
                         default=None)

@@ -24,18 +24,20 @@ from pathlib import Path
 from .errors import ConfigError
 from .scenarios import ScenarioConfig
 
-__all__ = ["load_config", "example_config_text", "config_field_names"]
+__all__ = ["load_config", "example_config_text"]
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
 
-def config_field_names():
-    return tuple(_FIELD_TYPES)
-
-
 def _convert(name, raw, target_type):
     raw = raw.strip()
+    if name == "modal_subset" and raw not in ("preset", "random"):
+        try:
+            return tuple(int(tok) for tok in raw.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"key {name!r}: expected preset, random or comma-separated "
+                              f"grid indices, got {raw!r}") from exc
     if raw.lower() == "none":
         return None
     if target_type is bool:
@@ -51,8 +53,6 @@ def _convert(name, raw, target_type):
         except ValueError as exc:
             raise ConfigError(f"key {name!r}: cannot parse {target_type.__name__} "
                               f"from {raw!r}") from exc
-    if name == "modal_subset" and "," in raw:
-        return tuple(int(tok) for tok in raw.split(","))
     return raw
 
 
@@ -114,7 +114,7 @@ seed = 2024
 method = mms-o1
 steps_per_cycle = 50
 # cycles = 500          # default: scenario thermal span / (2*pi*eps)
-# basis_size = 20       # default: database basis size
+# basis_size = 20       # modal-pod size; default: database basis size
 # out_dir = runs/demo
 save_states = false
 

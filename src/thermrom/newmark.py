@@ -20,19 +20,22 @@ __all__ = ["NewmarkSettings", "TransientSystem", "newmark_integrate"]
 BETA = 0.25
 GAMMA = 0.5
 
+#: Secondary Newton acceptance: relative displacement increment. Residual
+#: round-off from large internal forces can sit above newton_tol times a
+#: quiet step's predictor residual; a stagnated machine-precision update is
+#: then accepted on the increment.
+NEWTON_UTOL = 1e-12
+
+#: Blow-up guard: largest response, relative to the warm-up scale.
+GROWTH_LIMIT = 1e6
+
 
 @dataclass(frozen=True)
 class NewmarkSettings:
-    """Newton tolerances, iteration cap and blow-up guard of the integrator."""
+    """Newton tolerance and iteration cap of the integrator."""
 
     newton_tol: float = 1e-8
-    # Secondary acceptance: relative displacement increment. Residual
-    # round-off from large internal forces can sit above newton_tol times a
-    # quiet step's predictor residual; a stagnated machine-precision update
-    # is then accepted on the increment.
-    newton_utol: float = 1e-12
     max_newton: int = 25
-    growth_limit: float = 1e6
 
     def __post_init__(self):
         if self.max_newton < 1:
@@ -90,7 +93,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     ``t = 0``. Each step runs Newton-Raphson on the end-of-step displacement
     until the residual drops below ``newton_tol`` relative to the step's
     predictor residual. A residual norm that is not finite, or blow-up
-    beyond ``growth_limit`` times the initial response scale, aborts with
+    beyond ``GROWTH_LIMIT`` times the initial response scale, aborts with
     :class:`IntegrationError`. Returns a :class:`Trajectory` including the
     per-step converged residual norms and Newton iteration counts.
     """
@@ -153,7 +156,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
             r = system.residual(u1, v1, a1)
             _residual_norm(r, res_hist, step, t1)
             iters += 1
-            if np.linalg.norm(du) <= settings.newton_utol * (1.0 + np.linalg.norm(u1)):
+            if np.linalg.norm(du) <= NEWTON_UTOL * (1.0 + np.linalg.norm(u1)):
                 break
         newton_iterations[step] = iters
         step_residuals[step] = res_hist[-1]
@@ -163,9 +166,9 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         amp = np.linalg.norm(u)
         if step <= warmup:
             ref_amp = max(ref_amp, amp)
-        elif settings.growth_limit and amp > settings.growth_limit * ref_amp:
+        elif amp > GROWTH_LIMIT * ref_amp:
             raise IntegrationError(
-                f"response grew beyond {settings.growth_limit:.1e} times the "
+                f"response grew beyond {GROWTH_LIMIT:.1e} times the "
                 f"initial scale at step {step} (t = {t1:.6g})",
                 step=step, time=t1,
             )

@@ -101,8 +101,9 @@ class ScenarioConfig:
 
     ``cycles=None`` picks the scenario default, one full (straight) or half
     (curved) thermal oscillation: ``round(thermal_span / (2*pi*eps))``.
-    ``basis_size=None`` uses the database basis size for ``mms-*`` and
-    ``modal-pod``; the ``modal`` baseline size follows from stacking.
+    ``basis_size`` sets the ``modal-pod`` size; ``None`` uses the database
+    basis size, which is also the ``mms-*`` size. The ``modal`` baseline
+    size follows from stacking.
     """
 
     scenario: str = "curved-nonlinear"
@@ -143,6 +144,8 @@ class ScenarioConfig:
             raise ConfigError("cycles must be >= 1")
         if self.steps_per_cycle < 20:
             raise ConfigError("steps_per_cycle must be >= 20")
+        if self.basis_size is not None and self.basis_size < 1:
+            raise ConfigError("basis_size must be >= 1")
 
     def resolved_cycles(self, thermal_span):
         if self.cycles is not None:
@@ -220,11 +223,6 @@ class BeamScenario:
             return self.forcing.full_load(t, self.config.eps)
         return self.load_vector * np.sin(self.omega_f * t)
 
-    def newmark_settings(self):
-        return NewmarkSettings(
-            newton_tol=self.config.newton_tol, max_newton=self.config.max_newton
-        )
-
 
 def scenario_model(cfg) -> BeamModel:
     """Beam model (geometry, kinematics, pulse) for a beam scenario."""
@@ -260,10 +258,10 @@ def _sin_range(tau_end):
     return lo, hi
 
 
-def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> BeamScenario:
+def build_beam_scenario(cfg, need_database=True) -> BeamScenario:
     """Assemble loads, frequencies, time grid and initial state for a run."""
     d = _BEAM_DEFS[cfg.scenario]
-    model = model or scenario_model(cfg)
+    model = scenario_model(cfg)
     length = model.properties.length
 
     # Reference configuration at mid span: forcing frequency is the average
@@ -293,7 +291,7 @@ def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> B
     amplitude = d["amp_frac"] * length
     sin_lo, sin_hi = _sin_range(2.0 * np.pi * cfg.eps * cycles)
     xc_lo, xc_hi = x0 + amplitude * sin_lo, x0 + amplitude * sin_hi
-    grid = database.grid if database is not None else default_grid(length, cfg.db_points)
+    grid = default_grid(length, cfg.db_points)
     if xc_lo < grid[0] or xc_hi > grid[-1]:
         log.warning(
             "pulse center range [%.4g, %.4g] extends past the database grid "
@@ -305,9 +303,7 @@ def build_beam_scenario(cfg, model=None, database=None, need_database=True) -> B
 
     axial, transverse, _ = model.node_dofs(model.node_nearest(0.25 * length))
 
-    database = database if database is not None else (
-        build_scenario_database(cfg, model) if need_database else None
-    )
+    database = build_scenario_database(cfg, model) if need_database else None
 
     return BeamScenario(
         config=cfg, model=model,
@@ -357,92 +353,78 @@ def _mms_reconstruction(scn, leading, traj0, traj1=None):
     return out
 
 
-def _run_hfm(scn):
-    system = FullSystem(scn.model, theta_of_t=scn.xc_of_t, load=scn.full_load)
-    traj = newmark_integrate(
-        system, scn.u_initial, np.zeros_like(scn.u_initial),
-        scn.dt, scn.n_steps, scn.newmark_settings(),
-        metadata=_run_metadata(scn, "hfm"),
-    )
-    return traj, traj.displacement.copy()
-
-
-def _run_mms(scn, order):
-    m = scn.database.m
-    leading = AdaptiveRom(scn.model, scn.database, scn.tau_of_t, scn.xc_of_tau,
-                          load=scn.leading_load)
-    traj0 = newmark_integrate(
-        leading, np.zeros(m), np.zeros(m), scn.dt, scn.n_steps, scn.newmark_settings(),
-        coordinate_space="reduced:mms-o1", metadata=_run_metadata(scn, "mms-o1"),
-    )
-    if order == 1:
-        return traj0, _mms_reconstruction(scn, leading, traj0), m
-
-    correction = CorrectionRom(leading, q0_of_t=_GridLookup(traj0), nu=scn.omega_f,
-                               eps_load=scn.eps_load, dxc_dtau=scn.dxc_dtau)
-    traj1 = newmark_integrate(
-        correction, np.zeros(m), np.zeros(m), scn.dt, scn.n_steps,
-        scn.newmark_settings(), coordinate_space="reduced:mms-oeps",
-        metadata=_run_metadata(scn, "mms-oeps"),
-    )
-    return traj1, _mms_reconstruction(scn, leading, traj0, traj1), m
-
-
-def _constant_basis(scn, method):
-    if method == "modal":
-        idx = modal_subset_indices(scn.config, len(scn.database))
-        stacked = stack_columns([scn.database.entries[j] for j in idx])
-        basis = stack_orthonormalize(stacked, sv_tol=scn.config.modal_rank_tol)
-        log.info("modal baseline from grid indices %s: size %d",
-                 [j + 1 for j in idx], basis.shape[1])
-    else:
-        m = scn.config.basis_size or scn.database.m
-        basis = modal_pod(stack_columns(scn.database.entries), m)
-    return basis
-
-
-def _run_constant(scn, method):
-    basis = _constant_basis(scn, method)
-    rom = ConstantBasisRom(
-        scn.model, basis, theta_of_t=scn.xc_of_t, load=scn.full_load
-    )
-    q0 = basis.T @ scn.u_initial
-    traj = newmark_integrate(
-        rom, q0, np.zeros(basis.shape[1]), scn.dt, scn.n_steps,
-        scn.newmark_settings(), coordinate_space=f"reduced:{method}",
-        metadata=_run_metadata(scn, method),
-    )
-    return traj, traj.displacement @ basis.T, basis.shape[1]
-
-
-def _run_metadata(scn, method):
+def _integrate(scn, system, q0, method):
+    """The harness's one Newmark integration: ``system`` from ``q0`` at rest."""
     cfg = scn.config
-    return {
-        "scenario": cfg.scenario,
-        "method": method,
-        "eps": cfg.eps,
-        "seed": cfg.seed,
-        "omega_f": scn.omega_f,
-        "steps_per_cycle": cfg.steps_per_cycle,
-    }
+    return newmark_integrate(
+        system, q0, np.zeros_like(q0), scn.dt, scn.n_steps,
+        NewmarkSettings(newton_tol=cfg.newton_tol, max_newton=cfg.max_newton),
+        coordinate_space="full" if method == "hfm" else f"reduced:{method}",
+        metadata={"scenario": cfg.scenario, "method": method, "eps": cfg.eps,
+                  "seed": cfg.seed, "omega_f": scn.omega_f,
+                  "steps_per_cycle": cfg.steps_per_cycle},
+    )
+
+
+def _run_methods(scn, methods):
+    """Integrate each of ``methods`` on a prepared scenario, in order.
+
+    mms-o1 and mms-oeps share one leading-order run: mms-o1 reconstructs
+    from it, and mms-oeps integrates its correction on the same model and
+    trajectory. The runtime of each is that run's time plus its own part,
+    which is what the method costs when run alone.
+    """
+    cfg, db = scn.config, scn.database
+    results, leading = {}, None
+    last_mms = [m for m in methods if m in ("mms-o1", "mms-oeps")][-1:]
+    for method in methods:
+        if method not in METHOD_NAMES:
+            raise ConfigError(f"unknown reduction method {method!r}")
+        start, shared = time.perf_counter(), 0.0
+        if method == "hfm":
+            system = FullSystem(scn.model, theta_of_t=scn.xc_of_t, load=scn.full_load)
+            traj = _integrate(scn, system, scn.u_initial, method)
+            disp, m = traj.displacement.copy(), None
+        elif method in ("mms-o1", "mms-oeps"):
+            if leading is None:
+                rom0 = AdaptiveRom(scn.model, db, scn.tau_of_t, scn.xc_of_tau,
+                                   load=scn.leading_load)
+                traj0 = _integrate(scn, rom0, np.zeros(db.m), "mms-o1")
+                leading = rom0, traj0, time.perf_counter() - start
+                start = time.perf_counter()
+            rom0, traj0, shared = leading
+            traj, traj1, m = traj0, None, db.m
+            if method == "mms-oeps":
+                system = CorrectionRom(rom0, q0_of_t=_GridLookup(traj0), nu=scn.omega_f,
+                                       eps_load=scn.eps_load, dxc_dtau=scn.dxc_dtau)
+                traj = traj1 = _integrate(scn, system, np.zeros(m), method)
+            disp = _mms_reconstruction(scn, rom0, traj0, traj1)
+            if [method] == last_mms:
+                # Free the leading-order model; the methods after it do not use it.
+                leading = rom0 = system = None
+        else:
+            if method == "modal":
+                idx = modal_subset_indices(cfg, len(db))
+                stacked = stack_columns([db.entries[j] for j in idx])
+                basis = stack_orthonormalize(stacked, sv_tol=cfg.modal_rank_tol)
+                log.info("modal baseline from grid indices %s: size %d",
+                         [j + 1 for j in idx], basis.shape[1])
+            else:
+                basis = modal_pod(stack_columns(db.entries), cfg.basis_size or db.m)
+            system = ConstantBasisRom(scn.model, basis, theta_of_t=scn.xc_of_t,
+                                      load=scn.full_load)
+            traj = _integrate(scn, system, basis.T @ scn.u_initial, method)
+            disp, m = traj.displacement @ basis.T, basis.shape[1]
+        runtime = shared + time.perf_counter() - start
+        log.info("%s finished in %.2f s", method, runtime)
+        results[method] = MethodResult(method=method, basis_size=m, trajectory=traj,
+                                       displacement=disp, runtime=runtime)
+    return results
 
 
 def run_method(scn, method):
-    """Integrate one reduction method on a prepared scenario."""
-    if method not in METHOD_NAMES:
-        raise ConfigError(f"unknown reduction method {method!r}")
-    start = time.perf_counter()
-    if method == "hfm":
-        traj, disp = _run_hfm(scn)
-        m = None
-    elif method in ("mms-o1", "mms-oeps"):
-        traj, disp, m = _run_mms(scn, 1 if method == "mms-o1" else 2)
-    else:
-        traj, disp, m = _run_constant(scn, method)
-    runtime = time.perf_counter() - start
-    log.info("%s finished in %.2f s", method, runtime)
-    return MethodResult(method=method, basis_size=m, trajectory=traj,
-                        displacement=disp, runtime=runtime)
+    """Integrate one reduction method alone on a prepared scenario."""
+    return _run_methods(scn, (method,))[method]
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +474,7 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
     need_db = any(m != "hfm" for m in methods)
     scn = scenario or build_beam_scenario(cfg, need_database=need_db)
 
-    results = {}
-    for method in methods:
-        results[method] = run_method(scn, method)
-
+    results = _run_methods(scn, methods)
     reference = results["hfm"].displacement
     errors = {}
     for method, result in results.items():
@@ -563,9 +542,9 @@ def write_compare_outputs(bundle, out_dir):
     return out
 
 
-def run_scenario(cfg, out_dir=None, scenario=None):
+def run_scenario(cfg, out_dir=None):
     """Execute one configured run; reduced methods are compared against the
     reference solution. Returns the comparison bundle."""
     methods = ("hfm",) if cfg.method == "hfm" else ("hfm", cfg.method)
     out_dir = out_dir if out_dir is not None else cfg.out_dir
-    return compare_methods(cfg, methods, scenario=scenario, out_dir=out_dir)
+    return compare_methods(cfg, methods, out_dir=out_dir)

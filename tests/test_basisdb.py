@@ -284,9 +284,11 @@ def test_modal_pod_repeated_basis(rng):
 
 
 def test_modal_pod_rank_limit(db_curved_small):
-    with pytest.raises(ContractError):
-        modal_pod(stack_columns([db_curved_small.entries[0]] * 2),
-                  db_curved_small.m + 1)
+    # a size must lie in 1..rank; a negative one would slice from the end
+    stacked = stack_columns([db_curved_small.entries[0]] * 2)
+    for m in (db_curved_small.m + 1, 0, -3):
+        with pytest.raises(ContractError, match="rank"):
+            modal_pod(stacked, m)
 
 
 def test_singular_profile_single_block(rng):

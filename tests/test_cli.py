@@ -174,3 +174,11 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli([], monkeypatch, tmp_path)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["modal_subset = 4,x", "basis_size = 0"])
+def test_run_bad_config_value_is_a_configuration_error(line, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[run]\nscenario = curved-nonlinear\n{line}\n")
+    assert run_cli(["run", "--config", str(cfg), *SMOKE_ARGS], monkeypatch, tmp_path) == 2
+    assert "configuration error:" in capsys.readouterr().err

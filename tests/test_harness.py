@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+from thermrom import scenarios
 from thermrom.config import example_config_text, load_config
 from thermrom.errors import ConfigError
 from thermrom.metrics import error_uniform
@@ -16,6 +17,7 @@ from thermrom.scenarios import (
     build_beam_scenario,
     compare_methods,
     modal_subset_indices,
+    run_method,
     run_scenario,
 )
 from thermrom.twodof import scenario_twodof, write_twodof_outputs
@@ -102,6 +104,42 @@ def test_compare_determinism_bit_identical(tmp_path):
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
 
 
+def test_compare_runs_the_leading_order_model_once(monkeypatch):
+    # mms-o1 and mms-oeps share one leading-order model and one integration
+    spaces, built = [], []
+    integrate, adaptive_rom = scenarios.newmark_integrate, scenarios.AdaptiveRom
+
+    def counting_integrate(*args, coordinate_space="full", **kwargs):
+        spaces.append(coordinate_space)
+        return integrate(*args, coordinate_space=coordinate_space, **kwargs)
+
+    def counting_rom(*args, **kwargs):
+        built.append(args)
+        return adaptive_rom(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "newmark_integrate", counting_integrate)
+    monkeypatch.setattr(scenarios, "AdaptiveRom", counting_rom)
+    cfg = ScenarioConfig(scenario="curved-nonlinear", **SMOKE)
+    compare_methods(cfg, ("hfm", "mms-o1", "mms-oeps"))
+    assert sorted(spaces) == ["full", "reduced:mms-o1", "reduced:mms-oeps"]
+    assert len(built) == 1
+
+
+def test_mms_methods_alone_equal_the_shared_run():
+    cfg = ScenarioConfig(scenario="curved-nonlinear", **SMOKE)
+    scn = build_beam_scenario(cfg)
+    bundle = compare_methods(cfg, ("hfm", "mms-o1", "mms-oeps"), scenario=scn)
+    for method in ("mms-o1", "mms-oeps"):
+        alone, shared = run_method(scn, method), bundle.results[method]
+        assert alone.basis_size == shared.basis_size
+        assert np.array_equal(alone.displacement, shared.displacement)
+        for field in ("displacement", "velocity", "acceleration", "step_residuals",
+                      "newton_iterations"):
+            assert np.array_equal(getattr(alone.trajectory, field),
+                                  getattr(shared.trajectory, field)), (method, field)
+        assert alone.trajectory.metadata == shared.trajectory.metadata
+
+
 # Largest Newton iteration count per step of each method on the arch
 # (curved-nonlinear, eps 1e-3, 5 cycles, seed 1). The modal baseline peaks
 # at step 128, two iterations below the cap; a change that eats into the
@@ -154,6 +192,10 @@ def test_scenario_config_validation():
         ScenarioConfig(steps_per_cycle=10)
     with pytest.raises(ConfigError):
         ScenarioConfig(eps=-1.0)
+    # None is the default size; 0 is not another spelling of it
+    for size in (0, -3):
+        with pytest.raises(ConfigError, match="basis_size"):
+            ScenarioConfig(basis_size=size)
 
 
 def test_default_cycles_follow_thermal_span():
@@ -248,6 +290,27 @@ def test_config_bad_value_rejected(tmp_path):
     path.write_text("[run]\nscenario = curved-linear\ncycles = soon\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("4", (4,)),
+    ("4,7,13", (4, 7, 13)),
+    ("random", "random"),
+    ("4,x", None),
+    ("4,7,", None),
+    ("none", None),
+])
+def test_config_modal_subset_parsing(text, expect, tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[run]\nscenario = curved-linear\nmodal_subset = {text}\n")
+    if expect is None:
+        with pytest.raises(ConfigError, match="modal_subset"):
+            load_config(path)
+    else:
+        cfg = load_config(path)
+        assert cfg.modal_subset == expect
+        if expect != "random":
+            assert modal_subset_indices(cfg, 19) == tuple(j - 1 for j in expect)
 
 
 def test_config_missing_file():
