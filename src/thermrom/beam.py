@@ -221,13 +221,16 @@ class BeamModel(SecondOrderModel):
 
     # -- assembly -----------------------------------------------------------
 
-    def _embed(self, u):
+    def _embed(self, u, full=None):
+        """``u`` in a zero-padded unconstrained vector; a given ``full``
+        (zero at the clamped dofs) is filled in place."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dof_count,):
             raise ContractError(
                 f"displacement has shape {u.shape}, expected ({self.dof_count},)"
             )
-        full = np.zeros(self.n_full)
+        if full is None:
+            full = np.zeros(self.n_full)
         full[self._free] = u
         return full
 
@@ -288,12 +291,15 @@ class BeamModel(SecondOrderModel):
         return kernels.HALF_BANDWIDTH
 
     def linearization(self, theta):
-        # The Gauss-point temperatures are evaluated here, once per theta.
+        # The Gauss-point temperatures are evaluated here, once per theta,
+        # and every state of the step is embedded into one buffer: the
+        # kernel keeps nothing that refers to it.
         args = self._frozen_args(theta)
         free = self._free
+        full = np.zeros(self.n_full)
 
         def linearize(u):
-            f, tangent = kernels.beam_linearization(self._embed(u), *args)
+            f, tangent = kernels.beam_linearization(self._embed(u, full), *args)
             return f[free], lambda: tangent()[:, free]
         return linearize
 

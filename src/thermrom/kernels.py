@@ -50,10 +50,13 @@ matrix to a contiguous range of dofs. :func:`band_to_dense` and
 
 The element vectors and blocks are added in two passes, even elements
 first, then odd elements. Within a pass no two elements share a dof, so
-each pass is one block add with no index collisions. On a mesh of 2-node,
-3-dof elements every force and tangent entry receives at most two
-element contributions, and ``0 + a + b`` equals ``0 + b + a`` exactly, so
-the order of the scatter does not change a bit of the result.
+each pass is one in-place fancy add, ``flat[index] += blocks``, with no
+index collisions. The flat positions of every element entry in the force
+vector and in the C-ordered band, split by element parity, depend on the
+element count alone; they are computed once per count and kept read-only.
+On a mesh of 2-node, 3-dof elements every force and tangent entry receives
+at most two element contributions, and ``0 + a + b`` equals ``0 + b + a``
+exactly, so the order of the scatter does not change a bit of the result.
 
 The element arithmetic is another matter and stays fixed: one
 matrix-vector product per gradient row, the bending block summed per Gauss
@@ -65,6 +68,8 @@ relative.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -208,8 +213,31 @@ def dense_to_band(a, p):
 # full model: element batches added into unconstrained vectors and bands
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _dof_index(n_el: int) -> np.ndarray:
-    return 3 * np.arange(n_el)[:, None] + np.arange(6)[None, :]
+    """Unconstrained dofs ``3e .. 3e+5`` of every element, (n_el, 6), read-only."""
+    index = 3 * np.arange(n_el)[:, None] + np.arange(6)[None, :]
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_index(n_el: int):
+    """Flat positions of the element entries, each as ``(even elements, odd
+    elements)``, read-only: of the force entries in the unconstrained force
+    vector, and of the tangent entries ``(a, b)`` in the C-ordered band
+    ``(2p+1, n)``, where entry ``(a, b)`` of element ``e`` is band row
+    ``p + a - b``, column ``3e + b``."""
+    dofs = _dof_index(n_el)
+    band = _BAND_ROW * (3 * n_el + 3) + dofs[:, None, :]
+
+    def by_parity(index):
+        parts = tuple(np.ascontiguousarray(index[first::2]) for first in (0, 1))
+        for part in parts:
+            part.flags.writeable = False
+        return parts
+
+    return by_parity(dofs), by_parity(band)
 
 
 def _element_state(u_full, tables):
@@ -217,8 +245,10 @@ def _element_state(u_full, tables):
     ``(n_el, 3)`` and ``(n_el, 3)``. One matrix-vector product per row: a
     matrix-matrix product rounds differently."""
     u_el = u_full[_dof_index(u_full.shape[0] // 3 - 1)]
-    wp, wpp = (np.stack([u_el @ row for row in rows], axis=1)
-               for rows in (tables.bw, tables.bb))
+    wp, wpp = np.empty((2, u_el.shape[0], 3))
+    for g in range(3):
+        wp[:, g] = u_el @ tables.bw[g]
+        wpp[:, g] = u_el @ tables.bb[g]
     return (u_el @ tables.ba)[:, None], wp, wpp
 
 
@@ -247,17 +277,13 @@ def _element_tangent(tables, gmat, ngeo, ea, ei):
     )).sum(axis=1)
 
 
-def _add_element_blocks(out, blocks):
-    """Add per-element ``blocks`` (n_el, 6) or (n_el, k, 6), whose last axis
-    runs over the element's dofs ``3e .. 3e+5``, into the last axis of
-    ``out``: even elements, then odd elements. The dofs of one pass are
-    disjoint and contiguous, so each pass adds into one view of ``out``
-    (the reshape splits only the unit-stride last axis: it never copies)."""
-    for first in (0, 1):
-        part = blocks[first::2].swapaxes(0, -2)
-        width = 6 * part.shape[-2]
-        view = out[..., 3 * first: 3 * first + width].reshape(part.shape)
-        view += part
+def _add_element_blocks(out, index, blocks):
+    """Add per-element ``blocks`` into ``out`` at the flat positions
+    ``index`` of :func:`_scatter_index`: even elements, then odd elements.
+    The positions of one pass are distinct, so each pass is one fancy add."""
+    flat = out.reshape(-1)
+    for first, part in enumerate(index):
+        flat[part] += blocks[first::2]
     return out
 
 
@@ -269,15 +295,14 @@ def beam_linearization(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=
     gmat, resultants, ngeo = _element_weak_form(u_full, tables, z0p, t_gauss, ea, ei,
                                                 alpha_t, nonlinear)
     n = u_full.shape[0]
+    force_index, band_index = _scatter_index(n // 3 - 1)
 
     def tangent():
-        k_el = _element_tangent(tables, gmat, ngeo, ea, ei)
-        # Column b of an element block lands in band column 3e + b, rows p + a - b.
-        band_el = np.zeros((k_el.shape[0], 2 * HALF_BANDWIDTH + 1, 6))
-        band_el[:, _BAND_ROW, np.arange(6)] = k_el
-        return _add_element_blocks(np.zeros((2 * HALF_BANDWIDTH + 1, n)), band_el)
+        return _add_element_blocks(np.zeros((2 * HALF_BANDWIDTH + 1, n)), band_index,
+                                   _element_tangent(tables, gmat, ngeo, ea, ei))
 
-    return _add_element_blocks(np.zeros(n), _element_force(tables, gmat, resultants)), tangent
+    return (_add_element_blocks(np.zeros(n), force_index,
+                                _element_force(tables, gmat, resultants)), tangent)
 
 
 def beam_force(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):

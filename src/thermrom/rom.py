@@ -52,7 +52,7 @@ Every ``residual`` keeps the tangent callable of its state, and
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative
 from .errors import IntegrationError
@@ -87,8 +87,13 @@ class FullSystem(TransientSystem):
     returns a new array.
 
     The iteration matrix is kept in band storage of the model's
-    ``half_bandwidth`` and solved with a banded LU, so a Newton iteration
-    costs O(n) for the beam; the residual uses the dense ``M`` and ``C``.
+    ``half_bandwidth`` ``p`` and solved with a banded LU, so a Newton
+    iteration costs O(n) for the beam; the residual uses the dense ``M``
+    and ``C``. One ``(3p+1, n)`` Fortran-ordered workspace, LAPACK's
+    ``gbsv`` layout, serves every iteration: :meth:`iteration_matrix`
+    writes the band into its rows ``p:`` (rows ``0:p`` are the LU's fill-in
+    space, which LAPACK does not read on entry) and :meth:`solve` factors
+    it in place.
     """
 
     def __init__(self, model, theta_of_t=None, load=None):
@@ -99,6 +104,7 @@ class FullSystem(TransientSystem):
         self._mass = model.mass()
         self._mass_band = dense_to_band(self._mass, self._p)
         self._damping = None
+        self._work = np.zeros((3 * self._p + 1, model.dof_count), order="F")
 
     @property
     def ndof(self):
@@ -121,10 +127,22 @@ class FullSystem(TransientSystem):
         return self._mass @ a + self._damping @ v + f - self._g
 
     def iteration_matrix(self, c_acc, c_vel):
-        return c_acc * self._mass_band + c_vel * self._damping_band + self._tangent()
+        """``c_acc*M + c_vel*C + K_t`` in rows ``p:`` of the workspace,
+        which is returned whole; the previous matrix is overwritten."""
+        band = self._work[self._p:]
+        np.multiply(c_acc, self._mass_band, out=band)
+        band += c_vel * self._damping_band
+        band += self._tangent()
+        return self._work
 
     def solve(self, s_mat, rhs):
-        return solve_banded((self._p, self._p), s_mat, rhs)
+        """Solve with an :meth:`iteration_matrix`, factoring it in place."""
+        _, _, x, info = dgbsv(self._p, self._p, s_mat, rhs, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular iteration matrix (zero pivot {info})")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbsv")
+        return x
 
 
 class AdaptiveRom(TransientSystem):
@@ -174,6 +192,8 @@ class AdaptiveRom(TransientSystem):
         # Mass, damping and bending blocks, stacked: per node, and per cell
         # the symmetrized cross term.
         self._node_blocks = [blocks(j, j) for j in range(n_nodes)]
+        for j, node in enumerate(self._node_blocks):
+            _check_mass(node[0], lambda: f"at basis node j = {j}")
         self._cross_blocks = []
         for j in range(n_nodes - 1):
             cross = blocks(j, j + 1)
@@ -203,14 +223,9 @@ class AdaptiveRom(TransientSystem):
             blocks = ((1.0 - w) ** 2 * self._node_blocks[j]
                       + (w * (1.0 - w)) * self._cross_blocks[j]
                       + w**2 * self._node_blocks[j + 1])
+            _check_mass(blocks[0], lambda: f"at t = {t_end:.6g} (cell j = {j}, "
+                                           f"w = {w:.6g}, x_c = {theta})", t_end)
         self._m_red, self._c_red, self._k_bend = blocks
-        # The reduced mass must stay positive definite for any frozen basis.
-        try:
-            np.linalg.cholesky(self._m_red)
-        except np.linalg.LinAlgError:
-            raise IntegrationError(
-                f"reduced mass is not positive definite at t = {t_end:.6g} "
-                f"(cell j = {j}, w = {w:.6g}, x_c = {theta})", time=t_end) from None
         self._t_gauss = self.model.gauss_temperature(theta)
         self._g = self._rhs(t_end)
 
@@ -237,6 +252,18 @@ class AdaptiveRom(TransientSystem):
         there, which must not refer to ``self`` (see ``TransientSystem``)."""
         return self.model.reduced_linearization(self._rows, self._offset, q,
                                                 self._t_gauss, self._k_bend)
+
+
+def _check_mass(m_red, where, time=None):
+    """The reduced mass must be positive definite for every frozen basis.
+    The node masses are checked once, when a model is built; a blend of two
+    nodes can lose definiteness, so each blended step checks its own.
+    ``where()`` places the basis in the message."""
+    try:
+        np.linalg.cholesky(m_red)
+    except np.linalg.LinAlgError:
+        raise IntegrationError(f"reduced mass is not positive definite {where()}",
+                               time=time) from None
 
 
 class ConstantBasisRom(AdaptiveRom):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,15 @@ class ScenarioConfig:
             raise ConfigError("steps_per_cycle must be >= 20")
         if self.basis_size is not None and self.basis_size < 1:
             raise ConfigError("basis_size must be >= 1")
+        subset = self.modal_subset
+        if isinstance(subset, str):
+            valid = subset in ("preset", "random")
+        else:
+            valid = (isinstance(subset, (tuple, list))
+                     and all(isinstance(j, numbers.Integral) for j in subset))
+        if not valid:
+            raise ConfigError(f"modal_subset must be 'preset', 'random' or a sequence "
+                              f"of 1-based grid indices, got {subset!r}")
 
     def resolved_cycles(self, thermal_span):
         if self.cycles is not None:
@@ -164,8 +174,6 @@ def modal_subset_indices(cfg, n_entries):
                               f"points; the grid has {n_entries}")
         rng = np.random.default_rng(cfg.seed)
         return tuple(sorted(rng.choice(n_entries, size=3, replace=False)))
-    elif isinstance(subset, str):
-        raise ConfigError(f"unknown modal_subset {subset!r}")
     idx = tuple(int(j) - 1 for j in subset)
     if any(not 0 <= j < n_entries for j in idx):
         raise ConfigError(f"modal subset {tuple(subset)!r} of {cfg.scenario} "
@@ -468,9 +476,15 @@ class CompareResult:
 def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-pod"),
                     scenario=None, out_dir=None):
     """Run the reference and a list of reductions on one scenario and
-    tabulate uniform errors; optionally write the result bundle."""
+    tabulate uniform errors; optionally write the result bundle. A prepared
+    ``scenario`` must have been built for ``cfg``."""
     if "hfm" not in methods:
         methods = ("hfm",) + tuple(methods)
+    if scenario is not None and scenario.config != cfg:
+        differ = [f.name for f in fields(cfg)
+                  if getattr(cfg, f.name) != getattr(scenario.config, f.name)]
+        raise ConfigError(f"the scenario was built for another configuration "
+                          f"(differs in {', '.join(differ)})")
     need_db = any(m != "hfm" for m in methods)
     scn = scenario or build_beam_scenario(cfg, need_database=need_db)
 

@@ -140,6 +140,15 @@ def test_mms_methods_alone_equal_the_shared_run():
         assert alone.trajectory.metadata == shared.trajectory.metadata
 
 
+def test_compare_rejects_a_scenario_of_another_config():
+    # the summary reports cfg's scenario and eps, so the two must agree
+    scn = build_beam_scenario(ScenarioConfig(scenario="curved-nonlinear", **SMOKE),
+                              need_database=False)
+    cfg = ScenarioConfig(scenario="straight-linear", **{**SMOKE, "eps": 1e-2})
+    with pytest.raises(ConfigError, match="differs in scenario, eps"):
+        compare_methods(cfg, ("hfm",), scenario=scn)
+
+
 # Largest Newton iteration count per step of each method on the arch
 # (curved-nonlinear, eps 1e-3, 5 cycles, seed 1). The modal baseline peaks
 # at step 128, two iterations below the cap; a change that eats into the
@@ -196,6 +205,9 @@ def test_scenario_config_validation():
     for size in (0, -3):
         with pytest.raises(ConfigError, match="basis_size"):
             ScenarioConfig(basis_size=size)
+    for subset in (None, 4.0, ("a",), "nearest"):
+        with pytest.raises(ConfigError, match="modal_subset"):
+            ScenarioConfig(modal_subset=subset)
 
 
 def test_default_cycles_follow_thermal_span():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from thermrom.beam import BeamModel
 from thermrom.errors import ContractError, IntegrationError
@@ -201,6 +202,67 @@ def test_banded_solve_matches_dense_solve(beam_curved_nl):
     for name in ("displacement", "velocity", "acceleration"):
         got, ref = getattr(banded, name), getattr(dense, name)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["beam_straight_nl", "beam_curved_lin", "beam_curved_nl"])
+def test_banded_solve_equals_solve_banded(name, request):
+    # the in-place LAPACK solve is scipy's solve_banded, bit for bit
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    n, p = model.dof_count, model.half_bandwidth
+    system = FullSystem(model, theta_of_t=lambda t: 0.04)
+    system.begin_step(0.0, 1e-6)
+    for _ in range(3):
+        u, v, a = 1e-4 * rng.standard_normal((3, n))
+        r = system.residual(u, v, a)
+        band = system.iteration_matrix(1e12, 1e6)[p:].copy()
+        x = system.solve(system.iteration_matrix(1e12, 1e6), r)
+        assert np.array_equal(x, solve_banded((p, p), band, r))
+
+
+def test_singular_iteration_matrix_is_a_linalg_error(beam_curved_nl):
+    n = beam_curved_nl.dof_count
+    system = FullSystem(beam_curved_nl, theta_of_t=lambda t: 0.04)
+    system.begin_step(0.0, 1e-6)
+    r = system.residual(np.zeros(n), np.zeros(n), np.zeros(n))
+    s_mat = system.iteration_matrix(1e12, 1e6)
+    s_mat[:, 4] = 0.0  # column 4 of the matrix
+    with pytest.raises(np.linalg.LinAlgError):
+        system.solve(s_mat, r)
+
+
+class _NanTangentBeam(BeamModel):
+    """A beam whose tangent has one NaN entry once the pulse is past 0.05."""
+
+    def linearization(self, theta):
+        linearize = super().linearization(theta)
+
+        def poisoned(u):
+            f, tangent = linearize(u)
+            if theta <= 0.05:
+                return f, tangent
+
+            def nan_tangent():
+                k = tangent()
+                k[self.half_bandwidth, 7] = np.nan
+                return k
+            return f, nan_tangent
+        return poisoned
+
+
+def test_nan_tangent_is_an_integration_error(beam_curved_nl):
+    # the run ends at the first Newton iteration after the pulse passes
+    # x_c = 0.05, with that step's residual history
+    clean = _forced_arch_run(beam_curved_nl, FullSystem)
+    # theta = 0.03 + 2e2 t is 0.05 at step 50 (dt = 2e-6)
+    step = 51 + int(np.argmax(clean.newton_iterations[51:] > 0))
+    model = _NanTangentBeam(beam_curved_nl.properties, beam_curved_nl.pulse)
+    with pytest.raises(IntegrationError, match="not finite") as info:
+        _forced_arch_run(model, FullSystem)
+    assert info.value.step == step
+    assert info.value.time == clean.times[step]
+    history = info.value.residual_history
+    assert len(history) >= 2 and np.isfinite(history[0]) and np.isnan(history[-1])
 
 
 def test_energy_conservation_undamped_frozen_pulse():

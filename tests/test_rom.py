@@ -142,6 +142,25 @@ def test_indefinite_reduced_mass_is_an_integration_error(beam_curved_nl, db_nl):
     assert "x_c = 0.05" in str(info.value)
 
 
+def test_constant_basis_mass_is_checked_once(beam_curved_nl, db_nl, monkeypatch):
+    # one node, one reduced mass: one Cholesky when the model is built,
+    # none per step
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    entry = db_nl.entries[3]
+    rom = ConstantBasisRom(beam_curved_nl, entry.matrix, theta_of_t=lambda t: entry.x_c,
+                           u_ref=entry.u_eq)
+    assert len(calls) == 1
+    zero = np.zeros(db_nl.m)
+    newmark_integrate(rom, zero, zero, 1e-6, 20)
+    assert len(calls) == 1
+    # a zero column makes the reduced mass singular: the build fails
+    singular = np.column_stack([entry.matrix, np.zeros(beam_curved_nl.dof_count)])
+    with pytest.raises(IntegrationError, match="basis node j = 0"):
+        ConstantBasisRom(beam_curved_nl, singular, u_ref=entry.u_eq)
+
+
 def test_constant_basis_identity_equals_full(beam_straight_nl):
     # V = identity reproduces the unreduced trajectories
     model = beam_straight_nl
