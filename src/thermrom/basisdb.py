@@ -208,16 +208,24 @@ def cell_weight(db, x_c):
 
     Positions outside the grid are clamped to the nearest end; a
     single-entry database gives ``(0, 0.0)``. This is the one place that
-    decides the cell, for :func:`interpolate_basis` and for the reduced
-    models that blend precomputed per-node operators.
+    decides the cell, for :func:`interpolate_basis`, for the reduced models
+    that blend precomputed per-node operators and for the batched
+    reconstruction. An array of positions gives arrays of cells and weights,
+    element for element what each position gives alone.
     """
-    if len(db) == 1:
-        return 0, 0.0
-    x = _locate(db, float(x_c))
     grid = db.grid
-    j = int(np.searchsorted(grid, x, side="right") - 1)
-    j = min(max(j, 0), grid.size - 2)
-    return j, (x - grid[j]) / (grid[j + 1] - grid[j])
+    array = isinstance(x_c, np.ndarray)
+    if array:
+        x = np.minimum(np.maximum(x_c, grid[0]), grid[-1])
+    else:
+        x = min(max(x_c, grid[0]), grid[-1])
+    if len(db) == 1:
+        return (np.zeros(x.shape, dtype=int), np.zeros(x.shape)) if array else (0, 0.0)
+    # Counting the inner nodes at or left of x gives the cell, from 0 to
+    # len(grid) - 2; the last node belongs to the last cell.
+    j = grid[1:-1].searchsorted(x, side="right")
+    w = (x - grid[j]) / (grid[j + 1] - grid[j])
+    return (j, w) if array else (int(j), float(w))
 
 
 def interpolate_basis(db, x_c):

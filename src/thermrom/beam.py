@@ -325,24 +325,25 @@ class BeamModel(SecondOrderModel):
         r = kernels.gauss_rows(cols, self.tables)
         return np.ascontiguousarray(r[:, :, 1:]), np.ascontiguousarray(r[:, :, 0])
 
-    def bending_block(self, rows_a, rows_b):
-        """``B_a' diag(wq EI) B_b`` from the curvature rows of two bases:
-        the state-independent bending part of the reduced tangent."""
-        ei = self.properties.bending_rigidity
-        return rows_a[2].T @ ((self._wq_gauss * ei)[:, None] * rows_b[2])
-
-    def _reduced_args(self, t_gauss):
+    def constant_block(self, rows_a, rows_b):
+        """``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b`` from the axial and
+        curvature rows of two bases: the state-independent part of the
+        reduced tangent (:func:`kernels.reduced_constant_tangent`)."""
         p = self.properties
-        return (self._wq_gauss, self._z0p_flat, t_gauss.ravel(), p.axial_rigidity,
-                p.bending_rigidity, p.thermal_expansion)
+        return kernels.reduced_constant_tangent(rows_a, rows_b, self._wq_gauss,
+                                                p.axial_rigidity, p.bending_rigidity)
 
-    def reduced_linearization(self, rows, offset, q, t_gauss, k_bend):
-        """``V'f(u_org + V q)`` at the Gauss temperatures ``t_gauss`` (see
-        :meth:`gauss_temperature`), from :meth:`reduced_rows`, and a callable
-        that returns the reduced tangent ``V'K_t V`` there; ``k_bend`` is
-        :meth:`bending_block` of the same basis."""
-        return kernels.reduced_linearization(q, rows, offset, *self._reduced_args(t_gauss),
-                                             k_bend, nonlinear=not self.linear_kinematics)
+    def reduced_linearization(self, rows, offset, t_gauss):
+        """A callable ``q -> (V'f(u_org + V q), tangent)`` at the Gauss
+        temperatures ``t_gauss`` (see :meth:`gauss_temperature`), from
+        :meth:`reduced_rows`. ``tangent()`` returns the state-dependent part
+        of ``V'K_t V``; :meth:`constant_block` of the basis is the rest. The
+        kernel arguments are frozen here, once per basis and temperature."""
+        p = self.properties
+        return kernels.reduced_linearization(
+            rows, offset, self._wq_gauss, self._z0p_flat, t_gauss.ravel(),
+            p.axial_rigidity, p.bending_rigidity, p.thermal_expansion,
+            nonlinear=not self.linear_kinematics)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

@@ -7,16 +7,16 @@ thermal prestress contribution to the geometric stiffness is kept), axial
 force ``N = EA*(e - alpha_T*T)``, bending moment ``EI*w''``. Three-point
 Gauss quadrature per element.
 
-The weak form is written once, per Gauss point, in :func:`_weak_form`.
-With axial-strain, slope and curvature rows ``A``, ``W``, ``B`` (gradients
-``u' = A u``, ``w' = W u``, ``w'' = B u``), quadrature weights ``wq`` and
-the membrane row ``G = A + s W`` of slope ``s = z0' + nl*w'``:
+The weak form per Gauss point: with axial-strain, slope and curvature rows
+``A``, ``W``, ``B`` (gradients ``u' = A u``, ``w' = W u``, ``w'' = B u``),
+quadrature weights ``wq`` and the membrane row ``G = A + s W`` of slope
+``s = z0' + nl*w'``,
 
     f   = G'(wq N) + W'(wq (1-nl) N_T w') + B'(wq EI w'')
     K_t = G' diag(wq EA) G + W' diag(wq N_geo) W + B' diag(wq EI) B
 
-with ``N_T = -EA alpha_T T`` and ``N_geo = nl N + (1-nl) N_T``. One
-numpy path evaluates it for both models:
+with ``N_T = -EA alpha_T T`` and ``N_geo = nl N + (1-nl) N_T``. Both
+models evaluate it with numpy, on different rows:
 
 * full: the rows are the element shape rows ``ba``, ``bw_g``, ``bb_g``,
   batched over elements and Gauss points; the element vectors and blocks
@@ -26,15 +26,32 @@ numpy path evaluates it for both models:
   of ``V`` and ``u_org``, giving rows of shape ``(3*n_el, m)`` and their
   offsets. Online, the Galerkin force ``V'f`` and tangent ``V'K_t V`` come
   from these rows alone, with the force as
-  ``A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'')`` and the
-  state-independent bending block ``K_bend`` passed in. Nothing of size
-  ``n`` is assembled or projected.
+  ``A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'')``. Nothing of
+  size ``n`` is assembled or projected.
 
-Each path has one entry point, :func:`beam_linearization` and
-:func:`reduced_linearization`: it evaluates the weak form once and returns
-the force with a callable that builds the tangent from the same ``G`` and
-``N_geo``. :func:`beam_force` and :func:`beam_force_and_tangent` wrap the
-full one.
+The reduced tangent is split so that no ``G`` is formed online. With
+``G = A + s W``,
+
+    G' diag(wq EA) G = A' diag(wq EA) A + X + X' + W' diag(wq EA s^2) W,
+    X = A' diag(wq EA s) W,
+
+so ``V'K_t V = K_const + X + X' + W' diag(wq (EA s^2 + N_geo)) W`` with the
+state-independent ``K_const = A' diag(wq EA) A + B' diag(wq EI) B``
+(:func:`reduced_constant_tangent`). Its per-basis blocks are built once,
+offline, and blended like the mass; only the rest is evaluated per Newton
+iteration, as one product of the stacked rows ``[A; W]``.
+
+Each path has one entry point. :func:`beam_linearization` evaluates the
+weak form once and returns the force with a callable that builds the
+tangent from the same ``G`` and ``N_geo``; :func:`beam_force` and
+:func:`beam_force_and_tangent` wrap it. :func:`reduced_linearization`
+freezes what one basis and one temperature fix (``N_T``, the weighted
+rigidities and the kinematics) and returns ``linearize(q)``, which
+evaluates the Gauss-point expressions of :func:`_weak_form` once per state
+and returns the force with a callable for the state-dependent part of the
+tangent. The reduced path does not call :func:`_weak_form`, whose
+arithmetic the full path keeps fixed (see below); with the frozen terms it
+takes about half the array passes per residual.
 
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
@@ -85,6 +102,7 @@ __all__ = [
     "beam_strain_energy",
     "gauss_rows",
     "reduced_linearization",
+    "reduced_constant_tangent",
 ]
 
 # 3-point Gauss rule on the unit interval [0, 1].
@@ -348,26 +366,72 @@ def gauss_rows(cols, tables):
     return out.reshape(3, 3 * n_el, cols.shape[1])
 
 
-def _reduced_weak_form(q, rows, offset, z0p, t_g, ea, ei, a_t, nonlinear):
-    up, wp, wpp = (rows.reshape(-1, rows.shape[2]) @ q).reshape(3, -1) + offset
-    return _weak_form(up, wp, wpp, z0p, t_g, ea, ei, a_t, float(nonlinear))
+def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nonlinear):
+    """Slope and curvature ``(w', w'')``, the membrane slope ``s`` and the
+    axial force ``N`` at the Gauss points of ``u = u_org + V q``: the
+    expressions of :func:`_weak_form` with the kinematics chosen once."""
+    up, wp, wpp = (flat @ q).reshape(3, -1) + offset
+    if nonlinear:
+        slope = z0p + wp
+        strain = up + (z0p + 0.5 * wp) * wp
+    else:
+        slope = z0p
+        strain = up + z0p * wp
+    return wp, wpp, slope, ea * strain + n_t
 
 
-def reduced_linearization(q, rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t, k_bend,
+def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
                           nonlinear=True):
-    """Galerkin internal force ``V'f(u_org + V q)`` from the rows and
-    offsets of :func:`gauss_rows`, and a callable that returns the Galerkin
-    tangent ``V'K_t V`` from the same weak form. ``wq``, ``z0p`` and
-    ``t_gauss`` are given per Gauss point, flattened element-major;
-    ``k_bend`` is the state-independent bending block ``B' diag(wq EI) B``."""
-    slope, (nax, lin, mb), ngeo = _reduced_weak_form(q, rows, offset, z0p, t_gauss,
-                                                     ea, ei, alpha_t, nonlinear)
-    wn = wq * nax
-    # A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq M) as one product.
-    coef = np.concatenate([wn, slope * wn + wq * lin, wq * mb])
+    """Freeze the reduced weak form of one basis and temperature, from the
+    rows and offsets of :func:`gauss_rows`, and return ``linearize(q)``.
 
-    def tangent():
-        gmat = rows[0] + slope[:, None] * rows[1]
-        return (gmat.T * (wq * ea)) @ gmat + (rows[1].T * (wq * ngeo)) @ rows[1] + k_bend
+    ``linearize(q)`` evaluates the weak form once and returns the Galerkin
+    internal force ``V'f(u_org + V q)`` with a callable for the
+    state-dependent part of the Galerkin tangent ``V'K_t V``,
+    ``X + X' + W' diag(wq (EA s^2 + N_geo)) W`` with
+    ``X = A' diag(wq EA s) W``; the rest of the tangent is
+    :func:`reduced_constant_tangent`. ``wq``, ``z0p`` and ``t_gauss`` are
+    given per Gauss point, flattened element-major.
+    """
+    ng, m = rows.shape[1:]
+    flat = rows.reshape(-1, m)
+    n_t = -ea * alpha_t * t_gauss
+    wq_ea, wq_ei = wq * ea, wq * ei
+    # Linear kinematics keeps the thermal prestress in the slope row of the
+    # force, W'(wq N_T w'), and as N_geo; full kinematics has N_geo = N.
+    wq_nt = None if nonlinear else wq * n_t
 
-    return rows.reshape(-1, rows.shape[2]).T @ coef, tangent
+    def linearize(q):
+        wp, wpp, slope, nax = _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nonlinear)
+        # A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'') as one product.
+        coef = np.empty((3, ng))
+        np.multiply(wq, nax, out=coef[0])
+        np.multiply(slope, coef[0], out=coef[1])
+        if wq_nt is not None:
+            coef[1] += wq_nt * wp
+        np.multiply(wq_ei, wpp, out=coef[2])
+        ngeo = nax if nonlinear else n_t
+
+        def tangent():
+            # [A; W]' [diag(wq EA s) W; diag(wq (EA s^2 + N_geo) / 2) W] is X
+            # plus half the W'W term; adding its transpose completes both.
+            weights = np.empty((2, ng))
+            np.multiply(wq_ea, slope, out=weights[0])
+            np.multiply(weights[0], slope, out=weights[1])
+            weights[1] += wq * ngeo
+            weights[1] *= 0.5
+            half = flat[:2 * ng].T @ (weights[:, :, None] * rows[1]).reshape(2 * ng, m)
+            return half + half.T
+
+        return flat.T @ coef.reshape(-1), tangent
+
+    return linearize
+
+
+def reduced_constant_tangent(rows_a, rows_b, wq, ea, ei):
+    """``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b`` from the rows of two
+    bases: the part of the Galerkin tangent that does not depend on the
+    state. With ``rows_a = rows_b`` it completes the tangent of
+    :func:`reduced_linearization`."""
+    return (rows_a[0].T @ ((wq * ea)[:, None] * rows_b[0])
+            + rows_a[2].T @ ((wq * ei)[:, None] * rows_b[2]))

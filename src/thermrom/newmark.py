@@ -123,6 +123,12 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
 
     c_acc = 1.0 / (BETA * dt * dt)
     c_vel = GAMMA / (BETA * dt)
+    # The scalar factors of the predictor and corrector, as the products
+    # associate left to right.
+    c_pred_u = dt * dt * (0.5 - BETA)
+    c_pred_v = dt * (1.0 - GAMMA)
+    c_corr_v = GAMMA * dt
+    zero = np.zeros(n)
     # Response scale for blow-up detection is established over a short
     # warmup window (zero initial conditions start at amplitude zero).
     warmup = min(100, n_steps)
@@ -132,11 +138,9 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         t1 = times[step]
         system.begin_step(times[step - 1], t1)
 
-        u_pred = u + dt * v + dt * dt * (0.5 - BETA) * a
-        v_pred = v + dt * (1.0 - GAMMA) * a
-        u1 = u_pred.copy()
-        a1 = np.zeros(n)
-        v1 = v_pred.copy()
+        u_pred = u + dt * v + c_pred_u * a
+        v_pred = v + c_pred_v * a
+        u1, v1, a1 = u_pred, v_pred, zero
 
         r = system.residual(u1, v1, a1)
         res_hist = []
@@ -151,9 +155,9 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
                 )
             s_mat = system.iteration_matrix(c_acc, c_vel)
             du = system.solve(s_mat, -r)
-            u1 += du
+            u1 = u1 + du
             a1 = c_acc * (u1 - u_pred)
-            v1 = v_pred + GAMMA * dt * a1
+            v1 = v_pred + c_corr_v * a1
             r = system.residual(u1, v1, a1)
             _residual_norm(r, res_hist, step, t1)
             iters += 1
@@ -202,7 +206,7 @@ def _norm(x):
 def _residual_norm(r, res_hist, step, t):
     """Append ``|r|`` to ``res_hist`` and return it; raise if it is not finite."""
     res_hist.append(_norm(r))
-    if not np.isfinite(res_hist[-1]):
+    if not math.isfinite(res_hist[-1]):
         raise IntegrationError(f"residual is not finite at step {step} (t = {t:.6g})",
                                step=step, time=t, residual_history=res_hist)
     return res_hist[-1]

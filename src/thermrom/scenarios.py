@@ -10,6 +10,7 @@ non-dimensionalized by the forcing period (one cycle = 2*pi units).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import numbers
@@ -22,6 +23,7 @@ import numpy as np
 from .basisdb import (
     BasisDatabase,
     build_database,
+    cell_weight,
     default_grid,
     modal_pod,
     stack_columns,
@@ -329,11 +331,15 @@ def build_beam_scenario(cfg, need_database=True) -> BeamScenario:
 
 @dataclass
 class MethodResult:
+    """One method's run. ``runtime`` is its wall time in seconds, including
+    ``reconstruction``, the part that builds ``displacement``."""
+
     method: str
     basis_size: int | None
     trajectory: Trajectory
     displacement: np.ndarray
     runtime: float
+    reconstruction: float
 
 
 class _GridLookup:
@@ -351,13 +357,26 @@ class _GridLookup:
         return self._q[k], self._qd[k]
 
 
-def _mms_reconstruction(scn, leading, traj0, traj1=None):
-    n_t = traj0.times.size
-    out = np.empty((n_t, scn.model.dof_count))
-    for i, t in enumerate(traj0.times):
-        v, u_eq = leading.basis_at(t)
-        q1 = traj1.displacement[i] if traj1 is not None else None
-        out[i] = reconstruct(u_eq, v, traj0.displacement[i], q1, scn.config.eps)
+def _mms_reconstruction(scn, traj0, traj1=None):
+    """Full displacements ``u_eq + V (q0 + eps q1)`` on the basis
+    interpolated at each saved time, one pass per visited grid cell: with
+    the cell and weight of :func:`cell_weight`, the states ``Q`` of a cell
+    give ``(1 - w)(u_j + Q V_j') + w(u_{j+1} + Q V_{j+1}')``."""
+    db = scn.database
+    q = traj0.displacement
+    if traj1 is not None:
+        q = q + scn.config.eps * traj1.displacement
+    cells, weights = cell_weight(db, scn.xc_of_t(traj0.times))
+    out = np.empty((q.shape[0], db.n))
+    for j in np.unique(cells):
+        at = np.flatnonzero(cells == j)
+        node = db.entries[j]
+        disp = reconstruct(node.u_eq, node.matrix, q[at])
+        w = weights[at, None]
+        if np.any(w):
+            nxt = db.entries[j + 1]
+            disp = (1.0 - w) * disp + w * reconstruct(nxt.u_eq, nxt.matrix, q[at])
+        out[at] = disp
     return out
 
 
@@ -392,7 +411,7 @@ def _run_methods(scn, methods):
         if method == "hfm":
             system = FullSystem(scn.model, theta_of_t=scn.xc_of_t, load=scn.full_load)
             traj = _integrate(scn, system, scn.u_initial, method)
-            disp, m = traj.displacement.copy(), None
+            m, displacement = None, traj.displacement.copy
         elif method in ("mms-o1", "mms-oeps"):
             if leading is None:
                 rom0 = AdaptiveRom(scn.model, db, scn.tau_of_t, scn.xc_of_tau,
@@ -406,7 +425,7 @@ def _run_methods(scn, methods):
                 system = CorrectionRom(rom0, q0_of_t=_GridLookup(traj0), nu=scn.omega_f,
                                        eps_load=scn.eps_load, dxc_dtau=scn.dxc_dtau)
                 traj = traj1 = _integrate(scn, system, np.zeros(m), method)
-            disp = _mms_reconstruction(scn, rom0, traj0, traj1)
+            displacement = functools.partial(_mms_reconstruction, scn, traj0, traj1)
             if [method] == last_mms:
                 # Free the leading-order model; the methods after it do not use it.
                 leading = rom0 = system = None
@@ -422,11 +441,16 @@ def _run_methods(scn, methods):
             system = ConstantBasisRom(scn.model, basis, theta_of_t=scn.xc_of_t,
                                       load=scn.full_load)
             traj = _integrate(scn, system, basis.T @ scn.u_initial, method)
-            disp, m = traj.displacement @ basis.T, basis.shape[1]
-        runtime = shared + time.perf_counter() - start
+            m, displacement = basis.shape[1], functools.partial(
+                np.matmul, traj.displacement, basis.T)
+        integrated = time.perf_counter()
+        disp = displacement()
+        done = time.perf_counter()
+        runtime = shared + done - start
         log.info("%s finished in %.2f s", method, runtime)
         results[method] = MethodResult(method=method, basis_size=m, trajectory=traj,
-                                       displacement=disp, runtime=runtime)
+                                       displacement=disp, runtime=runtime,
+                                       reconstruction=done - integrated)
     return results
 
 
@@ -514,9 +538,12 @@ def compare_methods(cfg, methods=("hfm", "mms-o1", "mms-oeps", "modal", "modal-p
             name: {
                 "basis_size": res.basis_size,
                 "runtime_s": res.runtime,
+                "reconstruction_s": res.reconstruction,
                 **{k: res.trajectory.metadata[k]
                    for k in ("max_newton_iterations", "mean_newton_iterations",
                              "p99_newton_iterations", "max_step_residual")},
+                "newton_cap_margin": (cfg.max_newton
+                                      - res.trajectory.metadata["max_newton_iterations"]),
                 **({k: v for k, v in errors[name].items() if k != "instant"}
                    if name in errors else {}),
             }

@@ -7,6 +7,7 @@ import pytest
 from thermrom import spectral
 from thermrom.basisdb import (
     build_database,
+    cell_weight,
     congruent_align,
     default_grid,
     interpolate_basis,
@@ -187,6 +188,19 @@ def test_interpolate_raw_database_rejected(beam_curved_nl):
     db = build_database(beam_curved_nl, default_grid(0.1, 3), k=2, align=False)
     with pytest.raises(ContractError):
         interpolate_basis(db, 0.05)
+
+
+def test_cell_weight_of_an_array_is_that_of_each_position(db_curved_small, rng):
+    # one rule decides the cell: an array of positions gives, element for
+    # element, the cell and weight of each position alone
+    grid = db_curved_small.grid
+    positions = np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                                [-0.5, 0.5], rng.uniform(0.0, 0.1, 50)])
+    cells, weights = cell_weight(db_curved_small, positions)
+    for x, j, w in zip(positions, cells, weights):
+        assert cell_weight(db_curved_small, float(x)) == (j, w)
+    assert cell_weight(db_curved_small, grid[-1]) == (grid.size - 2, 1.0)
+    assert cell_weight(db_curved_small, -0.5) == (0, 0.0)
 
 
 def test_interpolate_clamps_silently(db_curved_small, caplog):

@@ -61,6 +61,18 @@ def test_smoke_runs_and_writes_declared_files(smoke_bundle):
         assert np.array_equal(saved.newton_iterations, iters)
 
 
+def test_summary_reports_reconstruction_and_newton_margin(smoke_bundle):
+    # each method's wall time is split into integration and reconstruction,
+    # and its Newton peak is reported against the cap
+    cfg, bundle, out = smoke_bundle
+    summary = json.loads((out / "summary.json").read_text())
+    for name, res in bundle.results.items():
+        row = summary["methods"][name]
+        assert row["reconstruction_s"] == res.reconstruction
+        assert 0.0 < row["reconstruction_s"] <= row["runtime_s"] == res.runtime
+        assert row["newton_cap_margin"] == cfg.max_newton - row["max_newton_iterations"]
+
+
 def test_smoke_probe_csv_time_axis(smoke_bundle):
     # non-dimensional time: one forcing cycle spans 2 pi units
     cfg, bundle, out = smoke_bundle
@@ -94,11 +106,12 @@ def test_compare_determinism_bit_identical(tmp_path):
     for path_a in sorted(out_a.iterdir()):
         path_b = out_b / path_a.name
         if path_a.suffix == ".json":
-            # runtimes are the one legitimately non-deterministic output
+            # wall times are the one legitimately non-deterministic output
             sa = json.loads(path_a.read_text())
             sb = json.loads(path_b.read_text())
             for row in (*sa["methods"].values(), *sb["methods"].values()):
                 row.pop("runtime_s")
+                row.pop("reconstruction_s")
             assert sa == sb
         else:
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name

@@ -3,6 +3,7 @@ basis, reconstruction."""
 
 import dataclasses
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from thermrom.rom import (
     FullSystem,
     reconstruct,
 )
+from thermrom.scenarios import _mms_reconstruction
 from thermrom.spectral import build_local_basis, solve_equilibrium
 
 
@@ -63,6 +65,37 @@ def test_reconstruct_projection_identity(db_nl, beam_curved_nl, rng):
     u = u_eq + v @ q_true
     q = v.T @ (u - u_eq)
     np.testing.assert_allclose(reconstruct(u_eq, v, q), u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [None, 1e-2], ids=["mms-o1", "mms-oeps"])
+@pytest.mark.parametrize("single_entry", [False, True], ids=["chain", "single-entry"])
+def test_batched_reconstruction_equals_per_step(db_nl, beam_curved_nl, eps, single_entry,
+                                                rng):
+    # one pass per visited cell gives what interpolating the basis and
+    # reconstructing at every saved time gives: on nodes, mid-cell, clamped
+    # past either end, and on a single-entry database
+    db = db_nl
+    if single_entry:
+        db = build_database(beam_curved_nl, [db_nl.grid[3]], k=3, with_md=True)
+    grid = db_nl.grid
+    positions = np.concatenate([
+        grid, 0.5 * (grid[:-1] + grid[1:]), [0.5 * grid[0], grid[-1] + 0.01],
+        rng.uniform(grid[0], grid[-1], 12)])
+    rng.shuffle(positions)
+    times = np.arange(positions.size, dtype=float)
+    q0 = 1e-3 * rng.standard_normal((times.size, db.m))
+    q1 = rng.standard_normal((times.size, db.m)) if eps else None
+
+    def trajectory(q):
+        return types.SimpleNamespace(times=times, displacement=q)
+
+    scn = types.SimpleNamespace(database=db, config=types.SimpleNamespace(eps=eps),
+                                xc_of_t=lambda t: positions[np.asarray(t, dtype=int)])
+    got = _mms_reconstruction(scn, trajectory(q0), trajectory(q1) if eps else None)
+    for i, x_c in enumerate(positions):
+        v, u_eq = interpolate_basis(db, x_c)
+        expect = reconstruct(u_eq, v, q0[i], None if q1 is None else q1[i], eps or 0.0)
+        assert np.linalg.norm(got[i] - expect) <= 1e-13 * np.linalg.norm(expect), x_c
 
 
 # -- leading-order system -----------------------------------------------------------
@@ -217,6 +250,68 @@ def test_reduced_operators_match_projection(model_and_db, where, rng):
                v.T @ model.tangent_stiffness(u, x_c) @ v)
         _close(rom.mass(), v.T @ model.mass() @ v)
         _close(rom._c_red, v.T @ model.damping() @ v)
+
+
+def test_iteration_matrix_follows_coefficients_and_steps(beam_curved_nl, db_nl, rng):
+    # the per-step part c_acc M + c_vel C + K_const is formed once per
+    # coefficient pair and operator blend: a second pair in the same step,
+    # and the first call of the next step, still give the whole matrix
+    model = beam_curved_nl
+    eps, nu, x0, amp = 1e-3, 1.0e4, 0.03, 0.02
+
+    def x_c_of(t0, t1):
+        return x0 + amp * np.sin(eps * nu * 0.5 * (t0 + t1))
+
+    adaptive = make_adaptive(model, db_nl, eps=eps, nu=nu, x0=x0, amp=amp)
+    entry = db_nl.entries[3]
+    constant = ConstantBasisRom(model, entry.matrix, theta_of_t=lambda t: x_c_of(t, t),
+                                u_ref=entry.u_eq)
+    q = 1e-4 * rng.standard_normal(db_nl.m)
+    zero = np.zeros(db_nl.m)
+    for rom in (adaptive, constant):
+        for t0, t1 in ((0.0, 3e-3), (3e-3, 6e-3), (40.0, 40.003)):
+            x_c = x_c_of(t0, t1)
+            if rom is constant:
+                v, u_org = entry.matrix, entry.u_eq
+                x_c = x_c_of(t1, t1)
+            else:
+                v, u_org = interpolate_basis(db_nl, x_c)
+            rom.begin_step(t0, t1)
+            rom.residual(q, zero, zero)
+            k_t = v.T @ model.tangent_stiffness(u_org + v @ q, x_c) @ v
+            m_red, c_red = v.T @ model.mass() @ v, v.T @ model.damping() @ v
+            for c_acc, c_vel in ((4.0e9, 1.0e5), (1.0e9, 3.0e4), (4.0e9, 1.0e5)):
+                _close(rom.iteration_matrix(c_acc, c_vel),
+                       c_acc * m_red + c_vel * c_red + k_t)
+
+
+def test_reduced_solve_is_lapack_gesv(db_nl, beam_curved_nl, rng):
+    rom = make_adaptive(beam_curved_nl, db_nl)
+    m = db_nl.m
+    s_mat = rng.standard_normal((m, m)) + m * np.eye(m)
+    rhs = rng.standard_normal(m)
+    expect = np.linalg.solve(s_mat, rhs)
+    x = rom.solve(s_mat.copy(), rhs.copy())
+    assert np.linalg.norm(x - expect) <= 1e-13 * np.linalg.norm(expect)
+    singular = s_mat.copy()
+    singular[:, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        rom.solve(singular, rhs.copy())
+
+
+@pytest.mark.parametrize("name", ["beam_straight_nl", "beam_curved_lin", "beam_curved_nl"])
+def test_full_residual_from_the_bands(name, request, rng):
+    # M a + C v from the bands of M and C equals the dense products
+    model = request.getfixturevalue(name)
+    n = model.dof_count
+    load = model.uniform_transverse_load(1e3)
+    system = FullSystem(model, theta_of_t=lambda t: 0.04, load=lambda t: load * np.cos(t))
+    system.begin_step(0.0, 0.3)
+    u, v, a = (s * rng.standard_normal(n) for s in (1e-5, 1e-2, 1e2))
+    expect = (model.mass() @ a + model.damping() @ v + model.internal_force(u, 0.04)
+              - load * np.cos(0.3))
+    got = system.residual(u, v, a)
+    assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
 def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
