@@ -398,7 +398,8 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
     n_t = -ea * alpha_t * t_gauss
     wq_ea, wq_ei = wq * ea, wq * ei
     # Linear kinematics keeps the thermal prestress in the slope row of the
-    # force, W'(wq N_T w'), and as N_geo; full kinematics has N_geo = N.
+    # force, W'(wq N_T w'), and as N_geo; full kinematics has N_geo = N, so
+    # wq N_geo is the force's first coefficient row.
     wq_nt = None if nonlinear else wq * n_t
 
     def linearize(q):
@@ -410,7 +411,7 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
         if wq_nt is not None:
             coef[1] += wq_nt * wp
         np.multiply(wq_ei, wpp, out=coef[2])
-        ngeo = nax if nonlinear else n_t
+        wq_ngeo = wq_nt if wq_nt is not None else coef[0]
 
         def tangent():
             # [A; W]' [diag(wq EA s) W; diag(wq (EA s^2 + N_geo) / 2) W] is X
@@ -418,7 +419,7 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
             weights = np.empty((2, ng))
             np.multiply(wq_ea, slope, out=weights[0])
             np.multiply(weights[0], slope, out=weights[1])
-            weights[1] += wq * ngeo
+            weights[1] += wq_ngeo
             weights[1] *= 0.5
             half = flat[:2 * ng].T @ (weights[:, :, None] * rows[1]).reshape(2 * ng, m)
             return half + half.T

@@ -269,7 +269,7 @@ class AdaptiveRom(TransientSystem):
 
     def solve(self, s_mat, rhs):
         """Solve with an :meth:`iteration_matrix` by LAPACK ``gesv``."""
-        _, _, x, info = dgesv(s_mat, rhs, overwrite_a=True)
+        _, _, x, info = dgesv(s_mat, rhs)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular iteration matrix (zero pivot {info})")
         if info < 0:
