@@ -193,25 +193,17 @@ def build_database(model, grid, k, with_md=False, align=True):
     )
 
 
-def _locate(db, x_c):
-    """``x_c`` clamped to the grid ends; the run reports how often a pulse
-    position lies outside them (``clamped_positions``)."""
-    grid = db.grid
-    if x_c < grid[0] or x_c > grid[-1]:
-        x_c = min(max(x_c, grid[0]), grid[-1])
-    return x_c
-
-
 def cell_weight(db, x_c):
     """Grid cell ``j`` and blend weight ``w`` of a pulse position, so that
     the interpolated basis is ``(1 - w) V_j + w V_{j+1}``.
 
-    Positions outside the grid are clamped to the nearest end; a
-    single-entry database gives ``(0, 0.0)``. This is the one place that
-    decides the cell, for :func:`interpolate_basis`, for the reduced models
-    that blend precomputed per-node operators and for the batched
-    reconstruction. An array of positions gives arrays of cells and weights,
-    element for element what each position gives alone.
+    Positions outside the grid are clamped to the nearest end (the run
+    reports how often, as ``clamped_positions``); a single-entry database
+    gives ``(0, 0.0)``. This is the one place that decides the cell, for
+    :func:`interpolate_basis`, for the reduced models that blend
+    precomputed per-node operators and for the batched reconstruction. An
+    array of positions gives arrays of cells and weights, element for
+    element what each position gives alone.
     """
     grid = db.grid
     array = isinstance(x_c, np.ndarray)
@@ -260,8 +252,8 @@ def slow_basis_derivative(db, x_c, delta=None):
     if len(db) == 1:
         e = db.entries[0]
         return np.zeros_like(e.matrix), np.zeros_like(e.u_eq)
-    x = _locate(db, float(x_c))
     grid = db.grid
+    x = min(max(float(x_c), grid[0]), grid[-1])
     if delta is None:
         j, _ = cell_weight(db, x)
         delta = 0.5 * (grid[j + 1] - grid[j])

@@ -84,7 +84,9 @@ def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):
     q = np.asarray(q0, dtype=float)
     if q1 is not None and eps != 0.0:
         q = q + eps * np.asarray(q1, dtype=float)
-    return np.asarray(u_eq) + q @ np.asarray(basis).T
+    u = q @ np.asarray(basis).T
+    u += u_eq
+    return u
 
 
 class FullSystem(TransientSystem):

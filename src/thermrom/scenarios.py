@@ -359,24 +359,27 @@ class _GridLookup:
 
 def _mms_reconstruction(scn, traj0, traj1=None):
     """Full displacements ``u_eq + V (q0 + eps q1)`` on the basis
-    interpolated at each saved time, one pass per visited grid cell: with
-    the cell and weight of :func:`cell_weight`, the states ``Q`` of a cell
-    give ``(1 - w)(u_j + Q V_j') + w(u_{j+1} + Q V_{j+1}')``."""
+    interpolated at each saved time, one pass per run of consecutive saved
+    times in one grid cell: with the cell and weights of
+    :func:`cell_weight`, the states ``Q`` of a run give
+    ``(1 - w)(u_j + Q V_j') + w(u_{j+1} + Q V_{j+1}')``, written into their
+    rows of the output."""
     db = scn.database
     q = traj0.displacement
     if traj1 is not None:
         q = q + scn.config.eps * traj1.displacement
     cells, weights = cell_weight(db, scn.xc_of_t(traj0.times))
     out = np.empty((q.shape[0], db.n))
-    for j in np.unique(cells):
-        at = np.flatnonzero(cells == j)
-        node = db.entries[j]
-        disp = reconstruct(node.u_eq, node.matrix, q[at])
-        w = weights[at, None]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    for a, b in zip(starts, [*starts[1:], cells.size]):
+        node, rows, w = db.entries[cells[a]], slice(a, b), weights[a:b, None]
+        out[rows] = reconstruct(node.u_eq, node.matrix, q[rows])
         if np.any(w):
-            nxt = db.entries[j + 1]
-            disp = (1.0 - w) * disp + w * reconstruct(nxt.u_eq, nxt.matrix, q[at])
-        out[at] = disp
+            nxt = db.entries[cells[a] + 1]
+            out[rows] *= 1.0 - w
+            part = reconstruct(nxt.u_eq, nxt.matrix, q[rows])
+            part *= w
+            out[rows] += part
     return out
 
 

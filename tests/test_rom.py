@@ -71,9 +71,10 @@ def test_reconstruct_projection_identity(db_nl, beam_curved_nl, rng):
 @pytest.mark.parametrize("single_entry", [False, True], ids=["chain", "single-entry"])
 def test_batched_reconstruction_equals_per_step(db_nl, beam_curved_nl, eps, single_entry,
                                                 rng):
-    # one pass per visited cell gives what interpolating the basis and
-    # reconstructing at every saved time gives: on nodes, mid-cell, clamped
-    # past either end, and on a single-entry database
+    # one pass per run of saved times in one cell gives what interpolating
+    # the basis and reconstructing at every saved time gives: on nodes,
+    # mid-cell, clamped past either end, and on a single-entry database,
+    # for runs of one and of many times, and for cells visited twice
     db = db_nl
     if single_entry:
         db = build_database(beam_curved_nl, [db_nl.grid[3]], k=3, with_md=True)
@@ -82,6 +83,7 @@ def test_batched_reconstruction_equals_per_step(db_nl, beam_curved_nl, eps, sing
         grid, 0.5 * (grid[:-1] + grid[1:]), [0.5 * grid[0], grid[-1] + 0.01],
         rng.uniform(grid[0], grid[-1], 12)])
     rng.shuffle(positions)
+    positions = np.concatenate([positions, np.sort(positions)])
     times = np.arange(positions.size, dtype=float)
     q0 = 1e-3 * rng.standard_normal((times.size, db.m))
     q1 = rng.standard_normal((times.size, db.m)) if eps else None
