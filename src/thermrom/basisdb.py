@@ -206,18 +206,15 @@ def cell_weight(db, x_c):
     element what each position gives alone.
     """
     grid = db.grid
-    array = isinstance(x_c, np.ndarray)
-    if array:
-        x = np.minimum(np.maximum(x_c, grid[0]), grid[-1])
-    else:
-        x = min(max(x_c, grid[0]), grid[-1])
+    x = np.minimum(np.maximum(x_c, grid[0]), grid[-1])
     if len(db) == 1:
-        return (np.zeros(x.shape, dtype=int), np.zeros(x.shape)) if array else (0, 0.0)
-    # Counting the inner nodes at or left of x gives the cell, from 0 to
-    # len(grid) - 2; the last node belongs to the last cell.
-    j = grid[1:-1].searchsorted(x, side="right")
-    w = (x - grid[j]) / (grid[j + 1] - grid[j])
-    return (j, w) if array else (int(j), float(w))
+        j, w = np.zeros(x.shape, dtype=int), np.zeros(x.shape)
+    else:
+        # Counting the inner nodes at or left of x gives the cell, from 0 to
+        # len(grid) - 2; the last node belongs to the last cell.
+        j = grid[1:-1].searchsorted(x, side="right")
+        w = (x - grid[j]) / (grid[j + 1] - grid[j])
+    return (int(j), float(w)) if x.ndim == 0 else (j, w)
 
 
 def interpolate_basis(db, x_c):

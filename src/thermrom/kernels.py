@@ -45,13 +45,13 @@ Each path has one entry point. :func:`beam_linearization` evaluates the
 weak form once and returns the force with a callable that builds the
 tangent from the same ``G`` and ``N_geo``; :func:`beam_force` and
 :func:`beam_force_and_tangent` wrap it. :func:`reduced_linearization`
-freezes what one basis and one temperature fix (``N_T``, the weighted
-rigidities and the kinematics) and returns ``linearize(q)``, which
-evaluates the Gauss-point expressions of :func:`_weak_form` once per state
-and returns the force with a callable for the state-dependent part of the
-tangent. The reduced path does not call :func:`_weak_form`, whose
-arithmetic the full path keeps fixed (see below); with the frozen terms it
-takes about half the array passes per residual.
+freezes what one basis and one temperature fix (``N_T`` and the weighted
+rigidities) and returns ``linearize(q)``, which evaluates the Gauss-point
+expressions of :func:`_weak_form` once per state and returns the force
+with a callable for the state-dependent part of the tangent. Both paths
+take the membrane strain from :func:`_strain`; the reduced path computes
+the slope and axial force from it with ``N_T`` frozen, in place of calling
+:func:`_weak_form`, and must keep the same expressions.
 
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
@@ -170,9 +170,14 @@ class ElementTables:
 # the Gauss-point weak form, shared by the full and reduced kernels
 # ---------------------------------------------------------------------------
 
+def _strain(up, wp, z0p, nl):
+    """Membrane strain ``u' + z0' w' + nl w'^2 / 2``."""
+    return up + z0p * wp + 0.5 * nl * wp * wp
+
+
 def _membrane(up, wp, z0p, t_g, ea, a_t, nl):
     """Membrane strain and thermal axial force ``N_T``."""
-    return up + z0p * wp + 0.5 * nl * wp * wp, -ea * a_t * t_g
+    return _strain(up, wp, z0p, nl), -ea * a_t * t_g
 
 
 def _weak_form(up, wp, wpp, z0p, t_g, ea, ei, a_t, nl):
@@ -366,18 +371,13 @@ def gauss_rows(cols, tables):
     return out.reshape(3, 3 * n_el, cols.shape[1])
 
 
-def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nonlinear):
+def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl):
     """Slope and curvature ``(w', w'')``, the membrane slope ``s`` and the
     axial force ``N`` at the Gauss points of ``u = u_org + V q``: the
-    expressions of :func:`_weak_form` with the kinematics chosen once."""
+    expressions of :func:`_weak_form` with the thermal force ``N_T``
+    frozen."""
     up, wp, wpp = (flat @ q).reshape(3, -1) + offset
-    if nonlinear:
-        slope = z0p + wp
-        strain = up + (z0p + 0.5 * wp) * wp
-    else:
-        slope = z0p
-        strain = up + z0p * wp
-    return wp, wpp, slope, ea * strain + n_t
+    return wp, wpp, z0p + nl * wp, ea * _strain(up, wp, z0p, nl) + n_t
 
 
 def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
@@ -395,6 +395,7 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
     """
     ng, m = rows.shape[1:]
     flat = rows.reshape(-1, m)
+    nl = float(nonlinear)
     n_t = -ea * alpha_t * t_gauss
     wq_ea, wq_ei = wq * ea, wq * ei
     # Linear kinematics keeps the thermal prestress in the slope row of the
@@ -403,7 +404,7 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
     wq_nt = None if nonlinear else wq * n_t
 
     def linearize(q):
-        wp, wpp, slope, nax = _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nonlinear)
+        wp, wpp, slope, nax = _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl)
         # A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'') as one product.
         coef = np.empty((3, ng))
         np.multiply(wq, nax, out=coef[0])

@@ -63,7 +63,9 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv, dgesv
 
-from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative
+# interpolate_basis is not called here; it stays importable as
+# rom.interpolate_basis, the name perfbench/layers.py traces.
+from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative  # noqa: F401
 from .errors import IntegrationError
 from .kernels import dense_to_band
 from .newmark import TransientSystem
@@ -229,10 +231,6 @@ class AdaptiveRom(TransientSystem):
 
     def mass(self):
         return self._m_red
-
-    def basis_at(self, t):
-        """Interpolated basis and origin ``(V, u_eq)`` at time ``t``."""
-        return interpolate_basis(self.database, self.xc_of_tau(self.tau_of_t(t)))
 
     def begin_step(self, t_start, t_end):
         j, w, theta = self._place(t_start, t_end)
