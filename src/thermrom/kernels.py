@@ -171,8 +171,13 @@ class ElementTables:
 # ---------------------------------------------------------------------------
 
 def _strain(up, wp, z0p, nl):
-    """Membrane strain ``u' + z0' w' + nl w'^2 / 2``."""
-    return up + z0p * wp + 0.5 * nl * wp * wp
+    """Membrane strain ``u' + z0' w' + nl w'^2 / 2``. Linear kinematics
+    skips the quadratic term rather than adding its zeros, which gives the
+    same values (up to the sign of a zero strain) in two array passes."""
+    strain = up + z0p * wp
+    if nl:
+        strain += 0.5 * nl * wp * wp
+    return strain
 
 
 def _membrane(up, wp, z0p, t_g, ea, a_t, nl):
@@ -377,7 +382,8 @@ def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl):
     expressions of :func:`_weak_form` with the thermal force ``N_T``
     frozen."""
     up, wp, wpp = (flat @ q).reshape(3, -1) + offset
-    return wp, wpp, z0p + nl * wp, ea * _strain(up, wp, z0p, nl) + n_t
+    slope = z0p + wp if nl else z0p
+    return wp, wpp, slope, ea * _strain(up, wp, z0p, nl) + n_t
 
 
 def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
