@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from . import kernels
 from .errors import ContractError
@@ -301,7 +302,14 @@ class BeamModel(SecondOrderModel):
         def linearize(u):
             f, tangent = kernels.beam_linearization(self._embed(u, full), *args)
             return f[free], lambda: tangent()[:, free]
-        return linearize
+        # Under linear kinematics the force is affine: after the tangent,
+        # f0 + K (u - u0) from the band. scipy's gbmv takes only bands with
+        # n >= 2p + 1, so a shorter beam evaluates every state.
+        n, p = self.dof_count, kernels.HALF_BANDWIDTH
+        if not self.linear_kinematics or n <= 2 * p:
+            return linearize
+        return kernels.affine_linearization(
+            linearize, np.asfortranarray, lambda k, du: dgbmv(n, n, p, p, 1.0, k, du))
 
     # -- reduced evaluation -------------------------------------------------
 
@@ -333,17 +341,19 @@ class BeamModel(SecondOrderModel):
         return kernels.reduced_constant_tangent(rows_a, rows_b, self._wq_gauss,
                                                 p.axial_rigidity, p.bending_rigidity)
 
-    def reduced_linearization(self, rows, offset, t_gauss):
+    def reduced_linearization(self, rows, offset, t_gauss, k_const):
         """A callable ``q -> (V'f(u_org + V q), tangent)`` at the Gauss
         temperatures ``t_gauss`` (see :meth:`gauss_temperature`), from
         :meth:`reduced_rows`. ``tangent()`` returns the state-dependent part
-        of ``V'K_t V``; :meth:`constant_block` of the basis is the rest. The
-        kernel arguments are frozen here, once per basis and temperature."""
+        of ``V'K_t V``; ``k_const``, the :meth:`constant_block` of the
+        basis, is the rest. The kernel arguments are frozen here, once per
+        basis and temperature; under linear kinematics the weak form is
+        evaluated once (:func:`kernels.reduced_linearization`)."""
         p = self.properties
         return kernels.reduced_linearization(
             rows, offset, self._wq_gauss, self._z0p_flat, t_gauss.ravel(),
             p.axial_rigidity, p.bending_rigidity, p.thermal_expansion,
-            nonlinear=not self.linear_kinematics)
+            not self.linear_kinematics, k_const)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

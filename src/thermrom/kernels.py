@@ -53,6 +53,17 @@ take the membrane strain from :func:`_strain`; the reduced path computes
 the slope and axial force from it with ``N_T`` frozen, in place of calling
 :func:`_weak_form`, and must keep the same expressions.
 
+Under linear kinematics the force at a frozen temperature is affine,
+``f(u) = f(u0) + J (u - u0)``, with a tangent ``J`` that does not depend on
+the state. :func:`affine_linearization` wraps a frozen linearization so
+that it evaluates the weak form once: after the tangent is built, every
+later state's force is that update. The full model's ``J`` is its free-dof
+tangent band, applied with BLAS ``gbmv`` (``BeamModel.linearization``);
+the reduced model's is ``K_const + S`` with the state-dependent part ``S``
+built once (:func:`reduced_linearization`). Full kinematics, and the
+single evaluations of :func:`beam_force` and :func:`beam_force_and_tangent`
+that the set-up makes, do not go through it.
+
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
 and the half-bandwidth is :data:`HALF_BANDWIDTH` ``p = 5``. The band
@@ -96,6 +107,7 @@ __all__ = [
     "get_backend",
     "band_to_dense",
     "dense_to_band",
+    "affine_linearization",
     "beam_linearization",
     "beam_force",
     "beam_force_and_tangent",
@@ -235,6 +247,42 @@ def dense_to_band(a, p):
     for r, cols, diag in _diagonals(p, n):
         ab[r, cols] = flat[diag]
     return ab
+
+
+# ---------------------------------------------------------------------------
+# linear kinematics: one weak-form evaluation per frozen linearization
+# ---------------------------------------------------------------------------
+
+def affine_linearization(linearize, jacobian, apply):
+    """Wrap ``linearize(u) -> (f, tangent)`` of a force that is affine in
+    the state, ``f(u) = f(u0) + J (u - u0)``, so that it evaluates the weak
+    form once.
+
+    Until a tangent callable has been called, each call evaluates
+    ``linearize`` and keeps its state (a copy: the caller may update it in
+    place) and force as the anchor ``(u0, f0)``. The first tangent call
+    builds ``t = tangent()`` and ``J = jacobian(t)``; from then on every call
+    returns ``f0 + apply(J, u - u0)`` with a callable that returns the same
+    ``t``.
+    """
+    anchor, built = [], []
+
+    def affine(u):
+        if built:
+            u0, f0 = anchor
+            t, jac = built
+            return f0 + apply(jac, u - u0), lambda: t
+        f, tangent = linearize(u)
+        anchor[:] = np.array(u, dtype=float), f
+
+        def build():
+            if not built:
+                t = tangent()
+                built[:] = t, jacobian(t)
+            return built[0]
+        return f, build
+
+    return affine
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +435,22 @@ def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl):
 
 
 def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
-                          nonlinear=True):
+                          nonlinear, k_const):
     """Freeze the reduced weak form of one basis and temperature, from the
     rows and offsets of :func:`gauss_rows`, and return ``linearize(q)``.
 
-    ``linearize(q)`` evaluates the weak form once and returns the Galerkin
-    internal force ``V'f(u_org + V q)`` with a callable for the
-    state-dependent part of the Galerkin tangent ``V'K_t V``,
-    ``X + X' + W' diag(wq (EA s^2 + N_geo)) W`` with
-    ``X = A' diag(wq EA s) W``; the rest of the tangent is
-    :func:`reduced_constant_tangent`. ``wq``, ``z0p`` and ``t_gauss`` are
-    given per Gauss point, flattened element-major.
+    ``linearize(q)`` returns the Galerkin internal force
+    ``V'f(u_org + V q)`` with a callable for the state-dependent part of the
+    Galerkin tangent ``V'K_t V``, ``S = X + X' + W' diag(wq (EA s^2 +
+    N_geo)) W`` with ``X = A' diag(wq EA s) W``; the rest of the tangent is
+    ``k_const``, the basis's :func:`reduced_constant_tangent`. ``wq``,
+    ``z0p`` and ``t_gauss`` are given per Gauss point, flattened
+    element-major.
+
+    Under full kinematics every call evaluates the weak form once. Under
+    linear kinematics ``S`` does not depend on the state, so the weak form
+    is evaluated until the tangent is first built, and after that the force
+    is ``f0 + (k_const + S)(q - q0)`` (:func:`affine_linearization`).
     """
     ng, m = rows.shape[1:]
     flat = rows.reshape(-1, m)
@@ -433,7 +486,9 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
 
         return flat.T @ coef.reshape(-1), tangent
 
-    return linearize
+    if nonlinear:
+        return linearize
+    return affine_linearization(linearize, lambda s: k_const + s, np.dot)
 
 
 def reduced_constant_tangent(rows_a, rows_b, wq, ea, ei):

@@ -81,8 +81,11 @@ class SecondOrderModel(ABC):
         """``u -> (f, tangent)`` at a frozen ``theta``: the internal force at
         ``u`` and a callable that returns :meth:`tangent_stiffness` there in
         LAPACK band storage of half-bandwidth ``p = half_bandwidth``,
-        ``ab[p + i - j, j] = K[i, j]`` (see :mod:`thermrom.kernels`). Override
-        when the tangent can reuse what the force evaluated."""
+        ``ab[p + i - j, j] = K[i, j]`` (see :mod:`thermrom.kernels`). Callers
+        read the band and do not modify it. Override when the tangent can
+        reuse what the force evaluated, or, for a force affine in ``u``, when
+        later states can be answered from the first state's force and tangent
+        (:func:`thermrom.kernels.affine_linearization`)."""
         def linearize(u):
             u = np.array(u, dtype=float)  # the caller may update its state in place
             return self.internal_force(u, theta), lambda: dense_to_band(

@@ -57,8 +57,9 @@ class TransientSystem(ABC):
     ``iteration_matrix(c_acc, c_vel)`` is the tangent at the state of the
     last ``residual`` call; the integrator calls it once per Newton
     iteration, after the residual of the current iterate. So a system
-    evaluates its weak form once per iterate, in ``residual``, and keeps
-    what the tangent needs. What it keeps must not refer to the system: the
+    evaluates its weak form at most once per iterate, in ``residual``, and
+    keeps what the tangent needs (a force affine in the state needs one
+    evaluation per step). What it keeps must not refer to the system: the
     reference cycle would keep it alive until a full garbage collection.
     """
 

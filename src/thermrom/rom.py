@@ -46,22 +46,28 @@ bases ``V_j``, ``V_{j+1}``, blending the two m-vectors; the n x m basis
 itself is never blended online. Each Newton iteration evaluates the reduced
 weak form once, from the blended rows (:func:`kernels.reduced_linearization`),
 at a cost of O(m^2) per Gauss point, with no n-sized assembly or
-projection.
+projection. Under linear kinematics the force is affine in ``q``: the weak
+form is evaluated once per step, at its first residual, and every later
+residual of the step is ``f0 + (K_const + S)(q - q0)``, which is why
+``begin_step`` hands the kernel the blended ``K_const``.
 
 Every ``residual`` keeps the tangent callable of its state, and
 ``iteration_matrix`` builds the tangent from it; the full model's comes from
-:func:`kernels.beam_linearization` through ``model.linearization(theta)``.
-A reduced iteration matrix is ``c_acc M + c_vel C + K_const``, formed on
-the first call of a step and kept while the coefficients and the blend
-stay, plus the state-dependent tangent of the last residual; it is solved
-with LAPACK ``gesv``.
+:func:`kernels.beam_linearization` through ``model.linearization(theta)``,
+which under linear kinematics also evaluates the weak form once per step.
+The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
+formed once per coefficient pair and damping band. A reduced
+iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first
+call of a step and kept while the coefficients and the blend stay, plus
+the state-dependent tangent of the last residual; it is solved with LAPACK
+``gesv``. The reduced mass check is LAPACK ``potrf``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbsv, dgesv
+from scipy.linalg.lapack import dgbsv, dgesv, dpotrf
 
 # interpolate_basis is not called here; it stays importable as
 # rom.interpolate_basis, the name perfbench/layers.py traces.
@@ -134,6 +140,7 @@ class FullSystem(TransientSystem):
         if damping is not self._damping:
             self._damping = damping
             self._damping_band = np.asfortranarray(dense_to_band(damping, self._p))
+            self._coeffs = None
         self._linearize = self.model.linearization(theta)
         self._g = self.load(t_end)
 
@@ -151,11 +158,13 @@ class FullSystem(TransientSystem):
 
     def iteration_matrix(self, c_acc, c_vel):
         """``c_acc*M + c_vel*C + K_t`` in rows ``p:`` of the workspace,
-        which is returned whole; the previous matrix is overwritten."""
-        band = self._work[self._p:]
-        np.multiply(c_acc, self._mass_band, out=band)
-        band += c_vel * self._damping_band
-        band += self._tangent()
+        which is returned whole; the previous matrix is overwritten. The
+        band ``c_acc*M + c_vel*C`` is formed once per coefficient pair and
+        damping band."""
+        if self._coeffs != (c_acc, c_vel):
+            self._coeffs = c_acc, c_vel
+            self._step_band = c_acc * self._mass_band + c_vel * self._damping_band
+        np.add(self._step_band, self._tangent(), out=self._work[self._p:])
         return self._work
 
     def solve(self, s_mat, rhs):
@@ -251,7 +260,7 @@ class AdaptiveRom(TransientSystem):
             self._m_red, self._c_red, self._k_const = blocks
             self._coeffs = None
         self._kernel = self.model.reduced_linearization(
-            rows, offset, self.model.gauss_temperature(theta))
+            rows, offset, self.model.gauss_temperature(theta), self._k_const)
         self._g = self._rhs(t_end)
 
     def residual(self, q, qd, qdd):
@@ -308,11 +317,9 @@ def _check_mass(m_red, where, time=None):
     The node masses are checked once, when a model is built; a blend of two
     nodes can lose definiteness, so each blended step checks its own.
     ``where()`` places the basis in the message."""
-    try:
-        np.linalg.cholesky(m_red)
-    except np.linalg.LinAlgError:
+    if dpotrf(m_red, lower=1)[1] > 0:
         raise IntegrationError(f"reduced mass is not positive definite {where()}",
-                               time=time) from None
+                               time=time)
 
 
 class ConstantBasisRom(AdaptiveRom):

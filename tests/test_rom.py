@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from thermrom import beam, kernels
 from thermrom.basisdb import BasisDatabase, build_database, default_grid, interpolate_basis
@@ -181,8 +182,8 @@ def test_constant_basis_mass_is_checked_once(beam_curved_nl, db_nl, monkeypatch)
     # one node, one reduced mass: one Cholesky when the model is built,
     # none per step
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    monkeypatch.setattr("thermrom.rom.dpotrf",
+                        lambda a, **kw: calls.append(1) or lapack.dpotrf(a, **kw))
     entry = db_nl.entries[3]
     rom = ConstantBasisRom(beam_curved_nl, entry.matrix, theta_of_t=lambda t: entry.x_c,
                            u_ref=entry.u_eq)
@@ -316,6 +317,25 @@ def test_full_residual_from_the_bands(name, request, rng):
     assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
 
 
+@pytest.mark.parametrize("name", ["beam_curved_nl", "beam_curved_lin"])
+def test_full_iteration_matrix_follows_coefficients_and_steps(name, request, rng):
+    # c_acc M + c_vel C is formed once per coefficient pair and damping band:
+    # a second pair in the same step, and the first call of the next step,
+    # still give the dense c_acc M + c_vel C + K_t, bit for bit
+    model = request.getfixturevalue(name)
+    n, p = model.dof_count, model.half_bandwidth
+    system = FullSystem(model, theta_of_t=lambda t: 0.03 + 2e2 * t)
+    zero = np.zeros(n)
+    for t0, t1 in ((0.0, 1e-4), (1e-4, 2e-4)):
+        system.begin_step(t0, t1)
+        u = 1e-5 * rng.standard_normal(n)
+        system.residual(u, zero, zero)
+        k_t = model.tangent_stiffness(u, 0.03 + 2e2 * t1)
+        for c_acc, c_vel in ((4.0e9, 1.0e5), (1.0e9, 3.0e4), (4.0e9, 1.0e5)):
+            got = kernels.band_to_dense(system.iteration_matrix(c_acc, c_vel)[p:])
+            assert np.array_equal(got, c_acc * model.mass() + c_vel * model.damping() + k_t)
+
+
 def test_reduced_models_skip_full_kernels(beam_curved_nl, db_nl, monkeypatch):
     # a few integrated steps of the Galerkin models assemble nothing of
     # full size: the full kernels are replaced by a trap
@@ -386,10 +406,23 @@ def test_every_system_reads_its_load_once_per_step(beam_curved_nl, db_nl):
         assert calls == [0.0] + [dt * k for k in range(1, 6)], name
 
 
-def test_one_weak_form_per_residual(beam_curved_nl, db_nl, monkeypatch):
+@pytest.fixture(scope="module")
+def beams_and_dbs(beam_curved_nl, db_nl, beam_straight_lin, beam_curved_lin, db_curved_vm):
+    """Each coarse kinematics with a database on it: ``db_nl`` on the curved
+    nonlinear beam, vibration-mode databases on the linear beams."""
+    return {
+        "curved-nonlinear": (beam_curved_nl, db_nl),
+        "straight-linear": (beam_straight_lin,
+                            build_database(beam_straight_lin, default_grid(L, 7), k=3)),
+        "curved-linear": (beam_curved_lin, db_curved_vm),
+    }
+
+
+def test_one_weak_form_per_residual(beams_and_dbs, monkeypatch):
     # each Newton iterate evaluates the weak form once, in its residual; the
-    # iteration matrix reuses it. The Gauss temperatures are evaluated once
-    # per step, in begin_step.
+    # iteration matrix reuses it. Under linear kinematics the force is
+    # affine, so each step evaluates it once, at its first residual. The
+    # Gauss temperatures are evaluated once per step, in begin_step.
     count = {"residual": 0, "weak_form": 0, "temperature": 0}
 
     def counted(name, fn):
@@ -402,34 +435,71 @@ def test_one_weak_form_per_residual(beam_curved_nl, db_nl, monkeypatch):
         monkeypatch.setattr(kernels, name, counted("weak_form", getattr(kernels, name)))
     monkeypatch.setattr(beam, "pulse_temperature",
                         counted("temperature", beam.pulse_temperature))
-    systems, dt = _step_systems(beam_curved_nl, db_nl, _sine_load(beam_curved_nl, db_nl, []))
-    for name in ("full", "adaptive", "constant"):
-        system, u0 = systems[name]
-        system.residual = counted("residual", system.residual)
-        count.update(residual=0, weak_form=0, temperature=0)
-        traj = newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
-        assert traj.newton_iterations[1:].min() >= 1, name
-        assert count["weak_form"] == count["residual"], (name, count)
-        assert count["temperature"] == 6, (name, count)
+    for kinematics, (model, db) in beams_and_dbs.items():
+        systems, dt = _step_systems(model, db, _sine_load(model, db, []))
+        for name in ("full", "adaptive", "constant"):
+            system, u0 = systems[name]
+            system.residual = counted("residual", system.residual)
+            count.update(residual=0, weak_form=0, temperature=0)
+            traj = newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
+            where = (kinematics, name, count)
+            assert traj.newton_iterations[1:].min() >= 1, where
+            if model.linear_kinematics:
+                assert count["weak_form"] == 5 + 1 < count["residual"], where
+            else:
+                assert count["weak_form"] == count["residual"], where
+            assert count["temperature"] == 6, where
 
 
-def test_systems_are_freed_without_the_cycle_collector(beam_curved_nl, db_nl):
+def test_systems_are_freed_without_the_cycle_collector(beams_and_dbs):
     # what a residual keeps for its iteration matrix must not refer back to
     # the system: a reference cycle would keep every integrated model (and
     # its operator blocks) alive until a full garbage collection
-    systems, dt = _step_systems(beam_curved_nl, db_nl, _sine_load(beam_curved_nl, db_nl, []))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for name in list(systems):
-            system, u0 = systems.pop(name)
-            newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
-            ref = weakref.ref(system)
-            del system
-            assert ref() is None, name
+        for kinematics, (model, db) in beams_and_dbs.items():
+            systems, dt = _step_systems(model, db, _sine_load(model, db, []))
+            for name in list(systems):
+                system, u0 = systems.pop(name)
+                newmark_integrate(system, u0, np.zeros_like(u0), dt, 5)
+                ref = weakref.ref(system)
+                del system
+                assert ref() is None, (kinematics, name)
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("kinematics", ["straight-linear", "curved-linear"])
+def test_linear_residual_after_the_tangent_is_the_direct_one(beams_and_dbs, kinematics, rng):
+    # under linear kinematics a residual after iteration_matrix is the
+    # step's first force plus the tangent times the state change: it equals
+    # the direct evaluation, dense for the full model and V'f(u_org + V q)
+    # for the Galerkin models, on two iterates
+    model, db = beams_and_dbs[kinematics]
+    x_c = 0.5 * (db.grid[3] + db.grid[4])
+    g = model.uniform_transverse_load(2e2)
+    v, u_org = interpolate_basis(db, x_c)
+    systems = {
+        "full": (FullSystem(model, theta_of_t=lambda t: x_c, load=lambda t: g),
+                 np.eye(model.dof_count), np.zeros(model.dof_count)),
+        "adaptive": (AdaptiveRom(model, db, tau_of_t=lambda t: 0.0,
+                                 xc_of_tau=lambda tau: x_c, load=lambda t: g), v, u_org),
+        "constant": (ConstantBasisRom(model, v, theta_of_t=lambda t: x_c,
+                                      load=lambda t: g, u_ref=u_org), v, u_org),
+    }
+    mass, damping = model.mass(), model.damping()
+    for name, (system, basis, origin) in systems.items():
+        system.begin_step(0.0, 1e-6)
+        m = basis.shape[1]
+        system.residual(*(1e-4 * rng.standard_normal((3, m))))
+        for _ in range(2):
+            system.iteration_matrix(4.0e9, 1.0e5)
+            q, qd, qdd = (s * rng.standard_normal(m) for s in (1e-4, 1e-2, 1e2))
+            expect = basis.T @ (mass @ (basis @ qdd) + damping @ (basis @ qd)
+                                + model.internal_force(origin + basis @ q, x_c) - g)
+            _close(system.residual(q, qd, qdd), expect)
 
 
 # -- slow correction ----------------------------------------------------------------
