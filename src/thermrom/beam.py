@@ -177,12 +177,20 @@ class BeamModel(SecondOrderModel):
         self._mass_full = self._assemble_mass_full()
         self._mass = np.ascontiguousarray(self._mass_full[self._free, self._free])
         # Kelvin-Voigt material damping: cold reference stiffness with the
-        # elastic modulus replaced by the damping modulus.
-        k_cold = self.tangent_stiffness(np.zeros(self.dof_count), None)
+        # elastic modulus replaced by the damping modulus. Under linear
+        # kinematics its unconstrained band is K0 of the force K(theta) u +
+        # b(theta); the constant membrane rows G = ba + z0' bw and the
+        # weights wq (-EA alpha_T) give the thermal part per temperature.
+        _, self._cold_band = kernels.beam_force_and_tangent(
+            *self._kernel_args(np.zeros(self.dof_count), None))
+        k_cold = kernels.band_to_dense(self._cold_band[:, self._free])
         self._damping = (p.damping_modulus / p.youngs_modulus) * k_cold
+        self._membrane_rows = self.tables.ba + self.z0_slope_gauss[..., None] * self.tables.bw
+        self._wq_thermal = self.tables.wq * (-p.axial_rigidity * p.thermal_expansion)
         for arr in (self._mass_full, self._mass, self._damping, self.node_x,
                     self.x_gauss, self.z0_slope_gauss, self.free_dofs,
-                    self._wq_gauss):
+                    self._wq_gauss, self._cold_band, self._membrane_rows,
+                    self._wq_thermal):
             arr.flags.writeable = False
 
     # -- geometry -----------------------------------------------------------
@@ -292,9 +300,11 @@ class BeamModel(SecondOrderModel):
         return kernels.HALF_BANDWIDTH
 
     def linearization(self, theta):
-        # The Gauss-point temperatures are evaluated here, once per theta,
-        # and every state of the step is embedded into one buffer: the
-        # kernel keeps nothing that refers to it.
+        # The Gauss-point temperatures are evaluated here, once per theta.
+        if self.linear_kinematics:
+            return self._linear_force(theta)
+        # Every state of the step is embedded into one buffer: the kernel
+        # keeps nothing that refers to it.
         args = self._frozen_args(theta)
         free = self._free
         full = np.zeros(self.n_full)
@@ -302,14 +312,23 @@ class BeamModel(SecondOrderModel):
         def linearize(u):
             f, tangent = kernels.beam_linearization(self._embed(u, full), *args)
             return f[free], lambda: tangent()[:, free]
-        # Under linear kinematics the force is affine: after the tangent,
-        # f0 + K (u - u0) from the band. scipy's gbmv takes only bands with
-        # n >= 2p + 1, so a shorter beam evaluates every state.
+        return linearize
+
+    def _linear_force(self, theta):
+        """``u -> (K u + b, lambda: K)`` with the free-dof band ``K`` and the
+        load ``b`` at ``theta``: no weak form is evaluated."""
+        wq_nt = self.gauss_temperature(theta) * self._wq_thermal
+        band, load = kernels.linear_stiffness_and_load(
+            self._cold_band, self.tables, self._membrane_rows, wq_nt)
+        k = np.asfortranarray(band[:, self._free])
+        b = load[self._free]
         n, p = self.dof_count, kernels.HALF_BANDWIDTH
-        if not self.linear_kinematics or n <= 2 * p:
-            return linearize
-        return kernels.affine_linearization(
-            linearize, np.asfortranarray, lambda k, du: dgbmv(n, n, p, p, 1.0, k, du))
+        if n <= 2 * p:
+            # scipy's gbmv takes only bands with n >= 2p + 1.
+            k_dense = kernels.band_to_dense(k)
+            return lambda u: (k_dense @ u + b, lambda: k)
+        # gbmv copies y = b before it adds K u, so b serves every state.
+        return lambda u: (dgbmv(n, n, p, p, 1.0, k, u, beta=1.0, y=b), lambda: k)
 
     # -- reduced evaluation -------------------------------------------------
 

@@ -53,16 +53,22 @@ take the membrane strain from :func:`_strain`; the reduced path computes
 the slope and axial force from it with ``N_T`` frozen, in place of calling
 :func:`_weak_form`, and must keep the same expressions.
 
-Under linear kinematics the force at a frozen temperature is affine,
-``f(u) = f(u0) + J (u - u0)``, with a tangent ``J`` that does not depend on
-the state. :func:`affine_linearization` wraps a frozen linearization so
-that it evaluates the weak form once: after the tangent is built, every
-later state's force is that update. The full model's ``J`` is its free-dof
-tangent band, applied with BLAS ``gbmv`` (``BeamModel.linearization``);
-the reduced model's is ``K_const + S`` with the state-dependent part ``S``
-built once (:func:`reduced_linearization`). Full kinematics, and the
-single evaluations of :func:`beam_force` and :func:`beam_force_and_tangent`
-that the set-up makes, do not go through it.
+Under linear kinematics ``G = A + z0' W`` does not depend on the state
+and ``N_geo = N_T``, so the force at a frozen temperature is
+``K(theta) u + b(theta)`` with
+
+    K(theta) = K0 + K_T(theta),  K_T = W' diag(wq N_T) W,  b = G'(wq N_T),
+
+where ``K0 = G' diag(wq EA) G + B' diag(wq EI) B`` is the cold tangent.
+The full model keeps ``K0``, the band of its cold tangent, from the set-up
+and adds only the thermal blocks and load per temperature
+(:func:`linear_stiffness_and_load`); its force is then one BLAS ``gbmv``
+with no weak form (``BeamModel.linearization``). The reduced model
+evaluates its weak form once per basis and temperature, at ``q = 0``, for
+the force at the origin ``f_org`` and the state-dependent tangent ``S``;
+its force is ``f_org + (K_const + S) q`` (:func:`reduced_linearization`).
+Full kinematics, and the single evaluations of :func:`beam_force` and
+:func:`beam_force_and_tangent` that the set-up makes, keep the weak form.
 
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
@@ -107,10 +113,10 @@ __all__ = [
     "get_backend",
     "band_to_dense",
     "dense_to_band",
-    "affine_linearization",
     "beam_linearization",
     "beam_force",
     "beam_force_and_tangent",
+    "linear_stiffness_and_load",
     "beam_strain_energy",
     "gauss_rows",
     "reduced_linearization",
@@ -250,42 +256,6 @@ def dense_to_band(a, p):
 
 
 # ---------------------------------------------------------------------------
-# linear kinematics: one weak-form evaluation per frozen linearization
-# ---------------------------------------------------------------------------
-
-def affine_linearization(linearize, jacobian, apply):
-    """Wrap ``linearize(u) -> (f, tangent)`` of a force that is affine in
-    the state, ``f(u) = f(u0) + J (u - u0)``, so that it evaluates the weak
-    form once.
-
-    Until a tangent callable has been called, each call evaluates
-    ``linearize`` and keeps its state (a copy: the caller may update it in
-    place) and force as the anchor ``(u0, f0)``. The first tangent call
-    builds ``t = tangent()`` and ``J = jacobian(t)``; from then on every call
-    returns ``f0 + apply(J, u - u0)`` with a callable that returns the same
-    ``t``.
-    """
-    anchor, built = [], []
-
-    def affine(u):
-        if built:
-            u0, f0 = anchor
-            t, jac = built
-            return f0 + apply(jac, u - u0), lambda: t
-        f, tangent = linearize(u)
-        anchor[:] = np.array(u, dtype=float), f
-
-        def build():
-            if not built:
-                t = tangent()
-                built[:] = t, jacobian(t)
-            return built[0]
-        return f, build
-
-    return affine
-
-
-# ---------------------------------------------------------------------------
 # full model: element batches added into unconstrained vectors and bands
 # ---------------------------------------------------------------------------
 
@@ -394,6 +364,19 @@ def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlin
     return f, tangent()
 
 
+def linear_stiffness_and_load(cold_band, tables, gmat, wq_nt):
+    """Under linear kinematics: the tangent band ``K0 + W' diag(wq N_T) W``
+    and the thermal load ``G'(wq N_T)``, both unconstrained, from the cold
+    tangent band ``K0``, the constant membrane rows ``G = ba + z0' bw``
+    (n_el, 3, 6) and ``wq N_T`` (n_el, 3). ``K0`` is not modified."""
+    n = cold_band.shape[1]
+    force_index, band_index = _scatter_index(n // 3 - 1)
+    thermal = (wq_nt @ tables.bwbw.reshape(3, 36)).reshape(-1, 6, 6)
+    load = np.matmul(wq_nt[:, None, :], gmat)[:, 0]
+    return (_add_element_blocks(cold_band.copy(), band_index, thermal),
+            _add_element_blocks(np.zeros(n), force_index, load))
+
+
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
     """Potential whose gradient is :func:`beam_force` (frozen temperature)."""
     nl = float(nonlinear)
@@ -448,9 +431,9 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
     element-major.
 
     Under full kinematics every call evaluates the weak form once. Under
-    linear kinematics ``S`` does not depend on the state, so the weak form
-    is evaluated until the tangent is first built, and after that the force
-    is ``f0 + (k_const + S)(q - q0)`` (:func:`affine_linearization`).
+    linear kinematics ``S`` does not depend on the state: the weak form is
+    evaluated once, here, at ``q = 0`` for the force ``f_org`` at the
+    origin and ``S``, and every call returns ``f_org + (k_const + S) q``.
     """
     ng, m = rows.shape[1:]
     flat = rows.reshape(-1, m)
@@ -488,7 +471,10 @@ def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
 
     if nonlinear:
         return linearize
-    return affine_linearization(linearize, lambda s: k_const + s, np.dot)
+    f_org, tangent = linearize(np.zeros(m))
+    s = tangent()
+    jac = k_const + s
+    return lambda q: (f_org + jac @ q, lambda: s)
 
 
 def reduced_constant_tangent(rows_a, rows_b, wq, ea, ei):

@@ -83,9 +83,9 @@ class SecondOrderModel(ABC):
         LAPACK band storage of half-bandwidth ``p = half_bandwidth``,
         ``ab[p + i - j, j] = K[i, j]`` (see :mod:`thermrom.kernels`). Callers
         read the band and do not modify it. Override when the tangent can
-        reuse what the force evaluated, or, for a force affine in ``u``, when
-        later states can be answered from the first state's force and tangent
-        (:func:`thermrom.kernels.affine_linearization`)."""
+        reuse what the force evaluated, or, for a force affine in ``u``
+        (``K u + b``), to answer every state from ``K`` and ``b`` built once
+        per ``theta``."""
         def linearize(u):
             u = np.array(u, dtype=float)  # the caller may update its state in place
             return self.internal_force(u, theta), lambda: dense_to_band(

@@ -58,8 +58,8 @@ class TransientSystem(ABC):
     last ``residual`` call; the integrator calls it once per Newton
     iteration, after the residual of the current iterate. So a system
     evaluates its weak form at most once per iterate, in ``residual``, and
-    keeps what the tangent needs (a force affine in the state needs one
-    evaluation per step). What it keeps must not refer to the system: the
+    keeps what the tangent needs (a force affine in the state, ``K u + b``,
+    needs at most one evaluation per step). What it keeps must not refer to the system: the
     reference cycle would keep it alive until a full garbage collection.
     """
 

@@ -47,14 +47,16 @@ itself is never blended online. Each Newton iteration evaluates the reduced
 weak form once, from the blended rows (:func:`kernels.reduced_linearization`),
 at a cost of O(m^2) per Gauss point, with no n-sized assembly or
 projection. Under linear kinematics the force is affine in ``q``: the weak
-form is evaluated once per step, at its first residual, and every later
-residual of the step is ``f0 + (K_const + S)(q - q0)``, which is why
+form is evaluated once per step, in ``begin_step``, at ``q = 0``, and every
+residual of the step is ``f_org + (K_const + S) q``, which is why
 ``begin_step`` hands the kernel the blended ``K_const``.
 
 Every ``residual`` keeps the tangent callable of its state, and
 ``iteration_matrix`` builds the tangent from it; the full model's comes from
-:func:`kernels.beam_linearization` through ``model.linearization(theta)``,
-which under linear kinematics also evaluates the weak form once per step.
+``model.linearization(theta)``. For the beam that is
+:func:`kernels.beam_linearization` under full kinematics, and under linear
+kinematics ``K(theta) u + b(theta)`` from the cold band and the thermal
+part assembled once per step, with no weak form.
 The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
 formed once per coefficient pair and damping band. A reduced
 iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first

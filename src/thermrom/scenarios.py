@@ -302,13 +302,18 @@ def build_beam_scenario(cfg, need_database=True) -> BeamScenario:
     sin_lo, sin_hi = _sin_range(2.0 * np.pi * cfg.eps * cycles)
     xc_lo, xc_hi = x0 + amplitude * sin_lo, x0 + amplitude * sin_hi
     grid = default_grid(length, cfg.db_points)
-    if xc_lo < grid[0] or xc_hi > grid[-1]:
+    off_span = xc_lo < 0.0 or xc_hi > length
+    if need_database and (xc_lo < grid[0] or xc_hi > grid[-1]):
         log.warning(
             "pulse center range [%.4g, %.4g] extends past the database grid "
             "[%.4g, %.4g]; the bases are clamped at the grid ends%s",
             xc_lo, xc_hi, grid[0], grid[-1],
-            "" if 0.0 <= xc_lo and xc_hi <= length
-            else ", and the temperature vanishes off the beam span")
+            ", and the temperature vanishes off the beam span" if off_span else "")
+    elif not need_database and off_span:
+        log.warning(
+            "pulse center range [%.4g, %.4g] extends past the beam span "
+            "[0, %.4g]; the temperature vanishes off the span",
+            xc_lo, xc_hi, length)
     u_initial = solve_equilibrium(model, x0)
 
     axial, transverse, _ = model.node_dofs(model.node_nearest(0.25 * length))

@@ -142,32 +142,34 @@ def test_thermal_load_consistency_linear(beam_curved_lin, rng):
         np.testing.assert_allclose(f, k @ u + b, atol=1e-9 * np.linalg.norm(f))
 
 
-@pytest.mark.parametrize("n_elements, weak_forms", [(4, 5), (12, 3)])
-def test_linear_linearization_evaluates_the_weak_form_once(n_elements, weak_forms,
-                                                           monkeypatch, rng):
-    # after the tangent is built, a frozen linearization under linear
-    # kinematics gives f0 + K (u - u0) without a weak form, and its tangent
-    # callables return the band they built. A band too short for BLAS gbmv
-    # (n = 9 < 2p + 1) keeps evaluating the weak form at every state.
-    model = BeamModel(BeamProperties(rise=5e-3, n_elements=n_elements), make_pulse(),
+@pytest.mark.parametrize("rise", [0.0, 5e-3], ids=["straight", "curved"])
+@pytest.mark.parametrize("n_elements", [4, 12])
+@pytest.mark.parametrize("x_c", [None, 0.041, 0.005, -0.05],
+                         ids=["cold", "inside", "straddles-end", "off-span"])
+def test_linear_linearization_is_k_u_plus_b_without_weak_form(rise, n_elements, x_c,
+                                                              monkeypatch, rng):
+    # under linear kinematics a frozen linearization is K(theta) u + b(theta)
+    # from the cold band and the thermal part: it matches the weak form's
+    # force and tangent, on a band too short for BLAS gbmv (n = 9 < 2p + 1)
+    # too, and evaluates no weak form once it is built
+    model = BeamModel(BeamProperties(rise=rise, n_elements=n_elements), make_pulse(),
                       linear_kinematics=True)
-    x_c, n = 0.041, model.dof_count
+    linearize = model.linearization(x_c)
     calls = []
     weak_form = kernels._element_weak_form
     monkeypatch.setattr(kernels, "_element_weak_form",
                         lambda *args: calls.append(1) or weak_form(*args))
-    linearize = model.linearization(x_c)
-    u = 1e-4 * rng.standard_normal(n)
-    f, tangent = linearize(u)
-    u[:] = 0.0  # the caller may update its state in place
-    band = tangent()
-    for _ in range(2):
-        u = 1e-4 * rng.standard_normal(n)
+    answers = []
+    for _ in range(3):
+        u = 1e-4 * rng.standard_normal(model.dof_count)
         f, tangent = linearize(u)
-        assert np.array_equal(tangent(), band)
-        expect = model.internal_force(u, x_c)
-        assert np.linalg.norm(f - expect) <= 1e-12 * np.linalg.norm(expect)
-    assert len(calls) == weak_forms  # internal_force evaluates one each
+        answers.append((u, f, kernels.band_to_dense(tangent())))
+    assert not calls
+    for u, f, k in answers:
+        expect_f = model.internal_force(u, x_c)
+        expect_k = model.tangent_stiffness(u, x_c)
+        assert np.linalg.norm(f - expect_f) <= 1e-12 * np.linalg.norm(expect_f)
+        assert np.linalg.norm(k - expect_k) <= 1e-12 * np.linalg.norm(expect_k)
 
 
 def test_membrane_coupling_nonlinear(beam_straight_nl):
