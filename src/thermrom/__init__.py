@@ -24,7 +24,7 @@ from .basisdb import (
 )
 from .beam import BeamModel, BeamProperties, TemperaturePulse, pulse_temperature
 from .forcing import PerturbationForcing, make_perturbation
-from .metrics import error_instant, error_uniform
+from .metrics import adaptive_projection_floor, error_instant, error_uniform, projection_floor
 from .models import SecondOrderModel, Trajectory, validate_model
 from .newmark import NewmarkSettings, TransientSystem, newmark_integrate
 from .rom import (

@@ -318,8 +318,14 @@ def _fmt(x):
 
 
 def save_database(db, directory):
+    """Write ``db`` to ``directory`` for :func:`load_database`. The metadata
+    file is removed first and written last, so a save that fails part way
+    leaves a directory that does not load, not one that loads as a mix of
+    two databases."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    meta_path = directory / "db_meta.txt"
+    meta_path.unlink(missing_ok=True)
     lines = [
         f"kind = {db.kind}",
         f"m = {db.m}",
@@ -335,7 +341,6 @@ def save_database(db, directory):
     if db.adjacent_angles is not None:
         lines.append("adjacent_angles = "
                      + " ".join(_fmt(a) for a in db.adjacent_angles))
-    (directory / "db_meta.txt").write_text("\n".join(lines) + "\n")
     for j, entry in enumerate(db.entries):
         edir = directory / f"entry_{j:02d}"
         edir.mkdir(exist_ok=True)
@@ -344,6 +349,7 @@ def save_database(db, directory):
         (edir / "frequencies.txt").write_text(
             "\n".join(_fmt(w) for w in entry.frequencies) + "\n"
         )
+    meta_path.write_text("\n".join(lines) + "\n")
 
 
 def _floats(text):

@@ -160,6 +160,7 @@ class BeamModel(SecondOrderModel):
         # Gauss-point abscissae and initial-curvature slopes, per element.
         xi = self.tables.gauss_xi
         self.x_gauss = self.node_x[:-1, None] + xi[None, :] * self.element_length
+        self._x_gauss_flat = self.x_gauss.ravel()
         self.z0_slope_gauss = self._z0_slope(self.x_gauss)
         self.n_full = 3 * self.n_nodes
         clamped = [0, 1, 2, self.n_full - 3, self.n_full - 2, self.n_full - 1]
@@ -188,7 +189,7 @@ class BeamModel(SecondOrderModel):
         self._membrane_rows = self.tables.ba + self.z0_slope_gauss[..., None] * self.tables.bw
         self._wq_thermal = self.tables.wq * (-p.axial_rigidity * p.thermal_expansion)
         for arr in (self._mass_full, self._mass, self._damping, self.node_x,
-                    self.x_gauss, self.z0_slope_gauss, self.free_dofs,
+                    self.x_gauss, self._x_gauss_flat, self.z0_slope_gauss, self.free_dofs,
                     self._wq_gauss, self._cold_band, self._membrane_rows,
                     self._wq_thermal):
             arr.flags.writeable = False
@@ -257,6 +258,23 @@ class BeamModel(SecondOrderModel):
             return np.zeros_like(self.x_gauss)
         return pulse_temperature(self.x_gauss, float(x_c), self.pulse)
 
+    def heated_elements(self, theta):
+        """The elements that the pulse at ``theta`` may heat, as a slice,
+        with :meth:`gauss_temperature` on them, shape (k, 3); the Gauss
+        points of every other element are cold. Only the sliced points are
+        evaluated, so each temperature has the bits of
+        :meth:`gauss_temperature`."""
+        if self.pulse is None or theta is None:
+            return slice(0, 0), np.zeros((0, 3))
+        x0 = float(theta) - 0.5 * self.pulse.width
+        # Points lo .. hi - 1 lie in [x0, x0 + width), point hi may lie on
+        # the right edge; one more point on each side absorbs the round-off
+        # of pulse_temperature's window test.
+        lo, hi = self._x_gauss_flat.searchsorted((x0, x0 + self.pulse.width))
+        n_gauss = self._x_gauss_flat.size
+        elements = slice(max(lo - 1, 0) // 3, (min(hi + 2, n_gauss) + 2) // 3)
+        return elements, pulse_temperature(self.x_gauss[elements], float(theta), self.pulse)
+
     def mass(self, reduce=True):
         return self._mass if reduce else self._mass_full
 
@@ -316,10 +334,12 @@ class BeamModel(SecondOrderModel):
 
     def _linear_force(self, theta):
         """``u -> (K u + b, lambda: K)`` with the free-dof band ``K`` and the
-        load ``b`` at ``theta``: no weak form is evaluated."""
-        wq_nt = self.gauss_temperature(theta) * self._wq_thermal
+        load ``b`` at ``theta``: no weak form is evaluated, and only the
+        heated elements add thermal blocks."""
+        elements, t_gauss = self.heated_elements(theta)
         band, load = kernels.linear_stiffness_and_load(
-            self._cold_band, self.tables, self._membrane_rows, wq_nt)
+            self._cold_band, self.tables, self._membrane_rows[elements],
+            t_gauss * self._wq_thermal, elements.start)
         k = np.asfortranarray(band[:, self._free])
         b = load[self._free]
         n, p = self.dof_count, kernels.HALF_BANDWIDTH
@@ -353,26 +373,63 @@ class BeamModel(SecondOrderModel):
         return np.ascontiguousarray(r[:, :, 1:]), np.ascontiguousarray(r[:, :, 0])
 
     def constant_block(self, rows_a, rows_b):
-        """``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b`` from the axial and
-        curvature rows of two bases: the state-independent part of the
-        reduced tangent (:func:`kernels.reduced_constant_tangent`)."""
+        """The state-independent part of the reduced tangent from the
+        :meth:`reduced_rows` of two bases
+        (:func:`kernels.reduced_constant_tangent`). Under full kinematics it
+        is ``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b``; under linear
+        kinematics the whole cold tangent, with the constant membrane rows
+        ``G = A + z0' W`` in place of ``A``."""
         p = self.properties
-        return kernels.reduced_constant_tangent(rows_a, rows_b, self._wq_gauss,
-                                                p.axial_rigidity, p.bending_rigidity)
+        return kernels.reduced_constant_tangent(
+            rows_a, rows_b, self._wq_gauss, p.axial_rigidity, p.bending_rigidity,
+            self._z0p_flat if self.linear_kinematics else None)
 
-    def reduced_linearization(self, rows, offset, t_gauss, k_const):
-        """A callable ``q -> (V'f(u_org + V q), tangent)`` at the Gauss
-        temperatures ``t_gauss`` (see :meth:`gauss_temperature`), from
-        :meth:`reduced_rows`. ``tangent()`` returns the state-dependent part
-        of ``V'K_t V``; ``k_const``, the :meth:`constant_block` of the
-        basis, is the rest. The kernel arguments are frozen here, once per
-        basis and temperature; under linear kinematics the weak form is
-        evaluated once (:func:`kernels.reduced_linearization`)."""
+    def cold_load(self, rows_a, offset_b):
+        """Under linear kinematics: the cold force of the origin of basis
+        ``b`` projected on basis ``a``, from their :meth:`reduced_rows`
+        (:func:`kernels.reduced_cold_load`). It is bilinear in the two, so
+        the cold force at the origin of a blended basis is blended from
+        these like the mass."""
+        p = self.properties
+        return kernels.reduced_cold_load(rows_a, offset_b, self._wq_gauss, self._z0p_flat,
+                                         p.axial_rigidity, p.bending_rigidity)
+
+    def reduced_thermal_rows(self, rows, offset):
+        """Under linear kinematics: the Gauss-point rows of a basis that its
+        thermal part needs, from :meth:`reduced_rows`
+        (:func:`kernels.reduced_thermal_rows`)."""
+        return kernels.reduced_thermal_rows(rows, offset, self._z0p_flat)
+
+    def reduced_linearization(self, rows, offset, t_gauss):
+        """Under full kinematics: a callable ``q -> (V'f(u_org + V q),
+        tangent)`` at the Gauss temperatures ``t_gauss`` (see
+        :meth:`gauss_temperature`), from :meth:`reduced_rows`.
+        ``tangent()`` returns the state-dependent part of ``V'K_t V``; the
+        :meth:`constant_block` of the basis is the rest. The kernel
+        arguments are frozen here, once per basis and temperature
+        (:func:`kernels.reduced_linearization`)."""
         p = self.properties
         return kernels.reduced_linearization(
             rows, offset, self._wq_gauss, self._z0p_flat, t_gauss.ravel(),
-            p.axial_rigidity, p.bending_rigidity, p.thermal_expansion,
-            not self.linear_kinematics, k_const)
+            p.axial_rigidity, p.bending_rigidity, p.thermal_expansion)
+
+    def reduced_thermal_linearization(self, rows_a, rows_b, w, theta, f_cold, k_cold):
+        """Under linear kinematics: ``q -> (f + J q, lambda: S_T)``, the
+        reduced force of ``u = u_org + V q`` and the thermal part ``S_T`` of
+        its tangent at ``theta``, for the basis ``V = (1 - w) V_a + w V_b``
+        with the :meth:`reduced_thermal_rows` ``rows_a``, ``rows_b`` (``b``
+        is not read when ``w = 0``) and the blended cold force ``f_cold``
+        (:meth:`cold_load`) and tangent ``k_cold`` (:meth:`constant_block`).
+        Only the rows of the heated Gauss points (:meth:`heated_elements`)
+        are blended and evaluated
+        (:func:`kernels.reduced_thermal_linearization`)."""
+        elements, t_gauss = self.heated_elements(theta)
+        points = slice(3 * elements.start, 3 * elements.stop)
+        rows = rows_a[points]
+        if w != 0.0:
+            rows = (1.0 - w) * rows + w * rows_b[points]
+        return kernels.reduced_thermal_linearization(
+            rows, (t_gauss * self._wq_thermal).ravel(), f_cold, k_cold)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

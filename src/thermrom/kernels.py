@@ -44,11 +44,12 @@ iteration, as one product of the stacked rows ``[A; W]``.
 Each path has one entry point. :func:`beam_linearization` evaluates the
 weak form once and returns the force with a callable that builds the
 tangent from the same ``G`` and ``N_geo``; :func:`beam_force` and
-:func:`beam_force_and_tangent` wrap it. :func:`reduced_linearization`
-freezes what one basis and one temperature fix (``N_T`` and the weighted
-rigidities) and returns ``linearize(q)``, which evaluates the Gauss-point
-expressions of :func:`_weak_form` once per state and returns the force
-with a callable for the state-dependent part of the tangent. Both paths
+:func:`beam_force_and_tangent` wrap it. Under full kinematics,
+:func:`reduced_linearization` freezes what one basis and one temperature
+fix (``N_T`` and the weighted rigidities) and returns ``linearize(q)``,
+which evaluates the Gauss-point expressions of :func:`_weak_form` once per
+state and returns the force with a callable for the state-dependent part
+of the tangent. Both paths
 take the membrane strain from :func:`_strain`; the reduced path computes
 the slope and axial force from it with ``N_T`` frozen, in place of calling
 :func:`_weak_form`, and must keep the same expressions.
@@ -59,16 +60,26 @@ and ``N_geo = N_T``, so the force at a frozen temperature is
 
     K(theta) = K0 + K_T(theta),  K_T = W' diag(wq N_T) W,  b = G'(wq N_T),
 
-where ``K0 = G' diag(wq EA) G + B' diag(wq EI) B`` is the cold tangent.
-The full model keeps ``K0``, the band of its cold tangent, from the set-up
-and adds only the thermal blocks and load per temperature
+where ``K0 = G' diag(wq EA) G + B' diag(wq EI) B`` is the cold tangent,
+and ``N_T`` vanishes outside the pulse window. The full model keeps
+``K0``, the band of its cold tangent, from the set-up and adds the thermal
+blocks and load of the heated elements only
 (:func:`linear_stiffness_and_load`); its force is then one BLAS ``gbmv``
-with no weak form (``BeamModel.linearization``). The reduced model
-evaluates its weak form once per basis and temperature, at ``q = 0``, for
-the force at the origin ``f_org`` and the state-dependent tangent ``S``;
-its force is ``f_org + (K_const + S) q`` (:func:`reduced_linearization`).
-Full kinematics, and the single evaluations of :func:`beam_force` and
-:func:`beam_force_and_tangent` that the set-up makes, keep the weak form.
+with no weak form (``BeamModel.linearization``). The reduced model splits
+its force on a basis the same way,
+
+    V'f(u_org + V q) = f_cold + f_T + (K_cold + S_T) q,
+
+with the cold parts ``K_cold = G' diag(wq EA) G + B' diag(wq EI) B``
+(:func:`reduced_constant_tangent`) and ``f_cold = G'(wq EA e_org) +
+B'(wq EI w''_org)`` (:func:`reduced_cold_load`), which are bilinear in
+the rows and offsets of the basis and so are built per basis node and
+cell, offline, and blended like the mass. Only the thermal part,
+``S_T = W' diag(c) W`` and ``f_T = G'c + W'(c w'_org)`` with
+``c = wq N_T``, is evaluated per step, from the rows of the heated Gauss
+points (:func:`reduced_thermal_linearization`). Full kinematics, and the
+single evaluations of :func:`beam_force` and :func:`beam_force_and_tangent`
+that the set-up makes, keep the weak form.
 
 The full tangent is returned in LAPACK band storage. An element couples
 the six dofs of its two nodes, so ``K[i, j] = 0`` for ``|i - j| > 5``
@@ -121,6 +132,9 @@ __all__ = [
     "gauss_rows",
     "reduced_linearization",
     "reduced_constant_tangent",
+    "reduced_cold_load",
+    "reduced_thermal_rows",
+    "reduced_thermal_linearization",
 ]
 
 # 3-point Gauss rule on the unit interval [0, 1].
@@ -333,6 +347,18 @@ def _add_element_blocks(out, index, blocks):
     return out
 
 
+def _add_element_range(out, index, blocks, start):
+    """:func:`_add_element_blocks` for the elements ``start, start + 1,
+    ...`` only. Even elements still come first, so every entry sums its
+    contributions in the order a whole mesh would."""
+    flat = out.reshape(-1)
+    for parity, part in enumerate(index):
+        mine = blocks[(parity - start) % 2::2]
+        first = (start + 1 - parity) // 2
+        flat[part[first:first + len(mine)]] += mine
+    return out
+
+
 def beam_linearization(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
     """Internal force, unconstrained, and a callable that returns its
     consistent tangent in band storage of half-bandwidth
@@ -364,17 +390,18 @@ def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlin
     return f, tangent()
 
 
-def linear_stiffness_and_load(cold_band, tables, gmat, wq_nt):
+def linear_stiffness_and_load(cold_band, tables, gmat, wq_nt, start):
     """Under linear kinematics: the tangent band ``K0 + W' diag(wq N_T) W``
     and the thermal load ``G'(wq N_T)``, both unconstrained, from the cold
-    tangent band ``K0``, the constant membrane rows ``G = ba + z0' bw``
-    (n_el, 3, 6) and ``wq N_T`` (n_el, 3). ``K0`` is not modified."""
+    tangent band ``K0``, the constant membrane rows ``G = ba + z0' bw`` and
+    ``wq N_T`` of the elements ``start, start + 1, ...`` ((k, 3, 6) and
+    (k, 3)); the other elements are cold. ``K0`` is not modified."""
     n = cold_band.shape[1]
     force_index, band_index = _scatter_index(n // 3 - 1)
     thermal = (wq_nt @ tables.bwbw.reshape(3, 36)).reshape(-1, 6, 6)
     load = np.matmul(wq_nt[:, None, :], gmat)[:, 0]
-    return (_add_element_blocks(cold_band.copy(), band_index, thermal),
-            _add_element_blocks(np.zeros(n), force_index, load))
+    return (_add_element_range(cold_band.copy(), band_index, thermal, start),
+            _add_element_range(np.zeros(n), force_index, load, start))
 
 
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
@@ -407,80 +434,108 @@ def gauss_rows(cols, tables):
     return out.reshape(3, 3 * n_el, cols.shape[1])
 
 
-def _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl):
-    """Slope and curvature ``(w', w'')``, the membrane slope ``s`` and the
-    axial force ``N`` at the Gauss points of ``u = u_org + V q``: the
-    expressions of :func:`_weak_form` with the thermal force ``N_T``
+def _reduced_weak_form(q, flat, offset, z0p, n_t, ea):
+    """Curvature ``w''``, the membrane slope ``s`` and the axial force
+    ``N`` at the Gauss points of ``u = u_org + V q``: the expressions of
+    :func:`_weak_form` under full kinematics with the thermal force ``N_T``
     frozen."""
     up, wp, wpp = (flat @ q).reshape(3, -1) + offset
-    slope = z0p + wp if nl else z0p
-    return wp, wpp, slope, ea * _strain(up, wp, z0p, nl) + n_t
+    return wpp, z0p + wp, ea * _strain(up, wp, z0p, 1.0) + n_t
 
 
-def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t,
-                          nonlinear, k_const):
-    """Freeze the reduced weak form of one basis and temperature, from the
-    rows and offsets of :func:`gauss_rows`, and return ``linearize(q)``.
+def reduced_linearization(rows, offset, wq, z0p, t_gauss, ea, ei, alpha_t):
+    """Under full kinematics: freeze the reduced weak form of one basis and
+    temperature, from the rows and offsets of :func:`gauss_rows`, and
+    return ``linearize(q)``.
 
-    ``linearize(q)`` returns the Galerkin internal force
-    ``V'f(u_org + V q)`` with a callable for the state-dependent part of the
-    Galerkin tangent ``V'K_t V``, ``S = X + X' + W' diag(wq (EA s^2 +
-    N_geo)) W`` with ``X = A' diag(wq EA s) W``; the rest of the tangent is
-    ``k_const``, the basis's :func:`reduced_constant_tangent`. ``wq``,
-    ``z0p`` and ``t_gauss`` are given per Gauss point, flattened
-    element-major.
-
-    Under full kinematics every call evaluates the weak form once. Under
-    linear kinematics ``S`` does not depend on the state: the weak form is
-    evaluated once, here, at ``q = 0`` for the force ``f_org`` at the
-    origin and ``S``, and every call returns ``f_org + (k_const + S) q``.
+    ``linearize(q)`` evaluates the weak form once and returns the Galerkin
+    internal force ``V'f(u_org + V q)`` with a callable for the
+    state-dependent part of the Galerkin tangent ``V'K_t V``,
+    ``S = X + X' + W' diag(wq (EA s^2 + N)) W`` with
+    ``X = A' diag(wq EA s) W``; the rest of the tangent is the basis's
+    :func:`reduced_constant_tangent`. ``wq``, ``z0p`` and ``t_gauss`` are
+    given per Gauss point, flattened element-major.
     """
     ng, m = rows.shape[1:]
     flat = rows.reshape(-1, m)
-    nl = float(nonlinear)
     n_t = -ea * alpha_t * t_gauss
     wq_ea, wq_ei = wq * ea, wq * ei
-    # Linear kinematics keeps the thermal prestress in the slope row of the
-    # force, W'(wq N_T w'), and as N_geo; full kinematics has N_geo = N, so
-    # wq N_geo is the force's first coefficient row.
-    wq_nt = None if nonlinear else wq * n_t
 
     def linearize(q):
-        wp, wpp, slope, nax = _reduced_weak_form(q, flat, offset, z0p, n_t, ea, nl)
-        # A'(wq N) + W'(s wq N + wq (1-nl) N_T w') + B'(wq EI w'') as one product.
+        wpp, slope, nax = _reduced_weak_form(q, flat, offset, z0p, n_t, ea)
+        # A'(wq N) + W'(s wq N) + B'(wq EI w'') as one product.
         coef = np.empty((3, ng))
         np.multiply(wq, nax, out=coef[0])
         np.multiply(slope, coef[0], out=coef[1])
-        if wq_nt is not None:
-            coef[1] += wq_nt * wp
         np.multiply(wq_ei, wpp, out=coef[2])
-        wq_ngeo = wq_nt if wq_nt is not None else coef[0]
 
         def tangent():
-            # [A; W]' [diag(wq EA s) W; diag(wq (EA s^2 + N_geo) / 2) W] is X
+            # [A; W]' [diag(wq EA s) W; diag(wq (EA s^2 + N) / 2) W] is X
             # plus half the W'W term; adding its transpose completes both.
             weights = np.empty((2, ng))
             np.multiply(wq_ea, slope, out=weights[0])
             np.multiply(weights[0], slope, out=weights[1])
-            weights[1] += wq_ngeo
+            weights[1] += coef[0]
             weights[1] *= 0.5
             half = flat[:2 * ng].T @ (weights[:, :, None] * rows[1]).reshape(2 * ng, m)
             return half + half.T
 
         return flat.T @ coef.reshape(-1), tangent
 
-    if nonlinear:
-        return linearize
-    f_org, tangent = linearize(np.zeros(m))
-    s = tangent()
-    jac = k_const + s
-    return lambda q: (f_org + jac @ q, lambda: s)
+    return linearize
 
 
-def reduced_constant_tangent(rows_a, rows_b, wq, ea, ei):
-    """``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b`` from the rows of two
-    bases: the part of the Galerkin tangent that does not depend on the
-    state. With ``rows_a = rows_b`` it completes the tangent of
-    :func:`reduced_linearization`."""
-    return (rows_a[0].T @ ((wq * ea)[:, None] * rows_b[0])
+def _membrane_rows(rows, z0p):
+    """Under linear kinematics the membrane rows ``G = A + z0' W``, which
+    do not depend on the state."""
+    return rows[0] + z0p[:, None] * rows[1]
+
+
+def reduced_constant_tangent(rows_a, rows_b, wq, ea, ei, z0p=None):
+    """The part of the Galerkin tangent that does not depend on the state,
+    from the rows of two bases. Under full kinematics (``z0p`` None) it is
+    ``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b``, which with
+    ``rows_a = rows_b`` completes the tangent of
+    :func:`reduced_linearization`. Under linear kinematics, with the
+    slopes ``z0p`` per Gauss point, it is the cold tangent
+    ``G_a' diag(wq EA) G_b + B_a' diag(wq EI) B_b``."""
+    mem_a, mem_b = ((rows_a[0], rows_b[0]) if z0p is None else
+                    (_membrane_rows(rows_a, z0p), _membrane_rows(rows_b, z0p)))
+    return (mem_a.T @ ((wq * ea)[:, None] * mem_b)
             + rows_a[2].T @ ((wq * ei)[:, None] * rows_b[2]))
+
+
+def reduced_cold_load(rows_a, offset_b, wq, z0p, ea, ei):
+    """Under linear kinematics: ``G_a'(wq EA e_b) + B_a'(wq EI w''_b)``, the
+    cold force of the origin of basis ``b`` projected on basis ``a``, with
+    the origin's membrane strain ``e_b = u'_b + z0' w'_b``."""
+    strain = offset_b[0] + z0p * offset_b[1]
+    return (_membrane_rows(rows_a, z0p).T @ (wq * ea * strain)
+            + rows_a[2].T @ (wq * ei * offset_b[2]))
+
+
+def reduced_thermal_rows(rows, offset, z0p):
+    """Under linear kinematics: per Gauss point, the membrane row
+    ``G = A + z0' W``, the slope row ``W``, a one and the origin's slope
+    ``w'``, as one array of shape ``(3*n_el, 2m + 2)``, which
+    :func:`reduced_thermal_linearization` takes at the heated points."""
+    ones = np.ones((rows.shape[1], 1))
+    return np.hstack([_membrane_rows(rows, z0p), rows[1], ones, offset[1][:, None]])
+
+
+def reduced_thermal_linearization(rows, wq_nt, f_cold, k_cold):
+    """Under linear kinematics: ``q -> (f + J q, lambda: S_T)`` with
+    ``J = k_cold + S_T`` and ``f = f_cold + f_T``, from the cold tangent and
+    force of one basis and its :func:`reduced_thermal_rows` at the heated
+    Gauss points, where ``c = wq N_T``:
+
+        S_T = W' diag(c) W,  f_T = G'c + W'(c w'_org).
+
+    The callable refers to neither the rows nor the caller."""
+    m = k_cold.shape[0]
+    # [G | W | 1 | w']' diag(c) [W | 1] holds W'cW, G'c and W'(c w').
+    sums = rows.T @ (wq_nt[:, None] * rows[:, m:2 * m + 1])
+    s_t = sums[m:2 * m, :m]
+    f = f_cold + sums[:m, m] + sums[2 * m + 1, :m]
+    jac = k_cold + s_t
+    return lambda q: (f + jac @ q, lambda: s_t)

@@ -1,5 +1,7 @@
 """Reduction-error metrics: instantaneous and uniform-in-time relative
-errors between a reference and a reduced solution history.
+errors between a reference and a reduced solution history, and the
+projection floor of a reduction subspace, the least uniform error any
+history in it can reach.
 """
 
 from __future__ import annotations
@@ -8,7 +10,8 @@ import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["error_instant", "error_uniform"]
+__all__ = ["error_instant", "error_uniform", "projection_floor",
+           "adaptive_projection_floor"]
 
 
 def _as_history(u):
@@ -52,3 +55,25 @@ def error_uniform(u_ref, u_red):
     if denom == 0.0:
         raise ContractError("reference history is identically zero")
     return float(np.sum(np.linalg.norm(u_ref - u_red, axis=1)) / denom)
+
+
+def projection_floor(u_ref, basis):
+    """Least uniform error of the constant subspace ``span(basis)``:
+    :func:`error_uniform` of the orthogonal projection ``V V'u(t)`` of the
+    reference history (rows ``u(t)``) on the orthonormal columns of
+    ``basis``."""
+    u_ref = _as_history(u_ref)
+    return error_uniform(u_ref, (u_ref @ basis) @ basis.T)
+
+
+def adaptive_projection_floor(u_ref, frames):
+    """Least uniform error of an affine subspace that moves with time:
+    ``frames`` gives one ``(V, u_org)`` per sample of ``u_ref``, else
+    ``ValueError``; it is read once, so it may generate them. Each ``u(t)``
+    is replaced by its least-squares nearest point of ``u_org + span(V)``."""
+    u_ref = _as_history(u_ref)
+    best = np.empty_like(u_ref)
+    for i, (u, (basis, origin)) in enumerate(zip(u_ref, frames, strict=True)):
+        q, *_ = np.linalg.lstsq(basis, u - origin, rcond=None)
+        best[i] = origin + basis @ q
+    return error_uniform(u_ref, best)

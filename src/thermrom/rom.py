@@ -35,28 +35,35 @@ The work is split into an offline and an online part. Offline, when a model
 is built, each basis node gets its Gauss-point rows from
 :meth:`BeamModel.reduced_rows`. The interpolated basis is linear in the
 blend weight ``w``, and so are its rows; ``V'MV``, ``V'CV`` and the
-state-independent part of the reduced tangent ``K_const`` (axial and
-bending, :meth:`BeamModel.constant_block`) are quadratic in ``w``, so each
-grid cell ``(j, j+1)`` gets three m x m blocks of each. Online,
-``begin_step`` blends the rows and the blocks at the cell and weight from
-:func:`basisdb.cell_weight` (the helper :func:`basisdb.interpolate_basis`
-and the batched reconstruction use too), freezes the reduced kernel at the
-step's temperature, and projects the step's right-hand side on the two node
-bases ``V_j``, ``V_{j+1}``, blending the two m-vectors; the n x m basis
-itself is never blended online. Each Newton iteration evaluates the reduced
-weak form once, from the blended rows (:func:`kernels.reduced_linearization`),
-at a cost of O(m^2) per Gauss point, with no n-sized assembly or
-projection. Under linear kinematics the force is affine in ``q``: the weak
-form is evaluated once per step, in ``begin_step``, at ``q = 0``, and every
-residual of the step is ``f_org + (K_const + S) q``, which is why
-``begin_step`` hands the kernel the blended ``K_const``.
+state-independent part of the reduced tangent ``K_const``
+(:meth:`BeamModel.constant_block`) are quadratic in ``w``, so each grid
+cell ``(j, j+1)`` gets three m x m blocks of each. Under linear kinematics
+``K_const`` is the whole cold tangent, and the cold force at the origin
+(:meth:`BeamModel.cold_load`), quadratic in ``w`` too, is stacked below the
+blocks, so one blend serves all four. Online, ``begin_step`` blends the
+blocks at the cell and weight from :func:`basisdb.cell_weight` (the helper
+:func:`basisdb.interpolate_basis` and the batched reconstruction use too),
+freezes the reduced kernel at the step's temperature, and projects the
+step's right-hand side on the two node bases ``V_j``, ``V_{j+1}``, blending
+the two m-vectors; the n x m basis itself is never blended online.
+
+- Under full kinematics ``begin_step`` blends the rows too, and each
+  Newton iteration evaluates the reduced weak form once from them
+  (:func:`kernels.reduced_linearization`), at a cost of O(m^2) per Gauss
+  point, with no n-sized assembly or projection.
+- Under linear kinematics the force is affine in ``q`` and only its
+  thermal part depends on the step: ``begin_step`` blends the rows of the
+  Gauss points the pulse heats (:meth:`BeamModel.heated_elements`) and
+  adds their thermal force and tangent to the blended cold ones
+  (:meth:`BeamModel.reduced_thermal_linearization`). No weak form is
+  evaluated, and every residual of the step is ``f + J q``.
 
 Every ``residual`` keeps the tangent callable of its state, and
 ``iteration_matrix`` builds the tangent from it; the full model's comes from
 ``model.linearization(theta)``. For the beam that is
 :func:`kernels.beam_linearization` under full kinematics, and under linear
 kinematics ``K(theta) u + b(theta)`` from the cold band and the thermal
-part assembled once per step, with no weak form.
+part of the heated elements, assembled once per step, with no weak form.
 The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
 formed once per coefficient pair and damping band. A reduced
 iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first
@@ -193,9 +200,10 @@ class AdaptiveRom(TransientSystem):
     Built once: each node's Gauss-point rows, and per cell the blocks
     ``X_jj``, ``X_jk + X_kj`` and ``X_kk`` (k = j + 1) of the mass, the
     damping and the state-independent tangent ``K_const`` of
-    :meth:`BeamModel.constant_block`, with ``X_ab = V_a' X V_b``.
-    ``begin_step`` blends them for one position in the chain and freezes the
-    reduced kernel there. Subclasses choose that position (:meth:`_place`),
+    :meth:`BeamModel.constant_block`, with ``X_ab = V_a' X V_b``, stacked in
+    rows; under linear kinematics the cold force of
+    :meth:`BeamModel.cold_load` is one more row. ``begin_step`` blends them
+    for one position in the chain and freezes the reduced kernel there. Subclasses choose that position (:meth:`_place`),
     the right-hand side (:meth:`_rhs`) and the reduced force with the
     callable for its state-dependent tangent (:meth:`_linearize`).
     """
@@ -210,30 +218,41 @@ class AdaptiveRom(TransientSystem):
 
     def _build(self, model, bases, origins):
         self.model = model
+        self._linear = model.linear_kinematics
         self._bases = [np.asarray(v, dtype=float) for v in bases]
-        self._node_rows, self._node_offsets = zip(*(
-            model.reduced_rows(v, u) for v, u in zip(self._bases, origins)))
-        n_nodes = len(self._bases)
+        rows, offsets = zip(*(model.reduced_rows(v, u) for v, u in zip(self._bases, origins)))
+        n_nodes, m = len(self._bases), self._bases[0].shape[1]
         stacked = np.concatenate(self._bases, axis=1)
         mass_v = np.split(model.mass() @ stacked, n_nodes, axis=1)
         damping_v = np.split(model.damping() @ stacked, n_nodes, axis=1)
 
         def blocks(a, b):
-            return np.stack([
-                self._bases[a].T @ mass_v[b],
-                self._bases[a].T @ damping_v[b],
-                model.constant_block(self._node_rows[a], self._node_rows[b]),
-            ])
+            out = [self._bases[a].T @ mass_v[b], self._bases[a].T @ damping_v[b],
+                   model.constant_block(rows[a], rows[b])]
+            if self._linear:
+                out.append(model.cold_load(rows[a], offsets[b])[None])
+            return np.concatenate(out)
 
-        # Mass, damping and constant-tangent blocks, stacked: per node, and
+        # Mass, damping and constant-tangent blocks, stacked in rows, and
+        # under linear kinematics the cold force below them: per node, and
         # per cell the symmetrized cross term.
         self._node_blocks = [blocks(j, j) for j in range(n_nodes)]
         for j, node in enumerate(self._node_blocks):
-            _check_mass(node[0], lambda: f"at basis node j = {j}")
+            _check_mass(node[:m], lambda: f"at basis node j = {j}")
         self._cross_blocks = []
         for j in range(n_nodes - 1):
             cross = blocks(j, j + 1)
-            self._cross_blocks.append(cross + cross.transpose(0, 2, 1))
+            square = cross[:3 * m].reshape(3, m, m)
+            cross[:3 * m] = (square + square.transpose(0, 2, 1)).reshape(3 * m, m)
+            if self._linear:
+                cross[3 * m] += model.cold_load(rows[j + 1], offsets[j])
+            self._cross_blocks.append(cross)
+        # Under linear kinematics a step needs only the rows of its thermal
+        # part; under full kinematics the rows and offsets of the weak form.
+        if self._linear:
+            self._node_rows = [model.reduced_thermal_rows(r, u) for r, u in zip(rows, offsets)]
+        else:
+            self._node_rows, self._node_offsets = rows, offsets
         self._blocks = None
 
     @property
@@ -246,23 +265,30 @@ class AdaptiveRom(TransientSystem):
     def begin_step(self, t_start, t_end):
         j, w, theta = self._place(t_start, t_end)
         self._cell = j, w
+        m = self.ndof
         if w == 0.0:
-            rows, offset = self._node_rows[j], self._node_offsets[j]
             blocks = self._node_blocks[j]
         else:
-            rows = (1.0 - w) * self._node_rows[j] + w * self._node_rows[j + 1]
-            offset = (1.0 - w) * self._node_offsets[j] + w * self._node_offsets[j + 1]
             blocks = ((1.0 - w) ** 2 * self._node_blocks[j]
                       + (w * (1.0 - w)) * self._cross_blocks[j]
                       + w**2 * self._node_blocks[j + 1])
-            _check_mass(blocks[0], lambda: f"at t = {t_end:.6g} (cell j = {j}, "
-                                           f"w = {w:.6g}, x_c = {theta})", t_end)
+            _check_mass(blocks[:m], lambda: f"at t = {t_end:.6g} (cell j = {j}, "
+                                            f"w = {w:.6g}, x_c = {theta})", t_end)
         if blocks is not self._blocks:
             self._blocks = blocks
-            self._m_red, self._c_red, self._k_const = blocks
+            self._m_red, self._c_red, self._k_const = blocks[:3 * m].reshape(3, m, m)
             self._coeffs = None
-        self._kernel = self.model.reduced_linearization(
-            rows, offset, self.model.gauss_temperature(theta), self._k_const)
+        if self._linear:
+            rows_b = self._node_rows[j + 1] if w != 0.0 else None
+            self._kernel = self.model.reduced_thermal_linearization(
+                self._node_rows[j], rows_b, w, theta, blocks[3 * m], self._k_const)
+        else:
+            rows, offset = self._node_rows[j], self._node_offsets[j]
+            if w != 0.0:
+                rows = (1.0 - w) * rows + w * self._node_rows[j + 1]
+                offset = (1.0 - w) * offset + w * self._node_offsets[j + 1]
+            self._kernel = self.model.reduced_linearization(
+                rows, offset, self.model.gauss_temperature(theta))
         self._g = self._rhs(t_end)
 
     def residual(self, q, qd, qdd):

@@ -4,7 +4,7 @@ and persistence."""
 import numpy as np
 import pytest
 
-from thermrom import spectral
+from thermrom import basisdb, spectral
 from thermrom.basisdb import (
     build_database,
     cell_weight,
@@ -19,6 +19,7 @@ from thermrom.basisdb import (
     stack_columns,
     stack_orthonormalize,
 )
+from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse
 from thermrom.cli import main
 from thermrom.errors import AlignmentError, ContractError, SolverError
 from thermrom.spectral import solve_equilibrium
@@ -344,6 +345,40 @@ def test_database_save_deterministic(tmp_path, db_curved_small):
         if path_a.is_file():
             path_b = tmp_path / "b" / path_a.relative_to(tmp_path / "a")
             assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_failed_save_leaves_no_mix_of_two_databases(tmp_path, monkeypatch):
+    # a save that fails part way over an older database in the same
+    # directory leaves a directory that does not load, not one that loads
+    # entries of both; a save that completes loads back (mmread reads the
+    # straight beam's -0.0 entries as +0.0, so the values are compared)
+    props = BeamProperties(n_elements=8)
+    old_db, new_db = (build_database(BeamModel(props, TemperaturePulse(height, 0.02)),
+                                     default_grid(0.1, 5), k=3)
+                      for height in (40.0, 60.0))
+    path = tmp_path / "db"
+    save_database(old_db, path)
+    mmwrite, calls = basisdb.mmwrite, []
+
+    def failing(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 5:
+            raise OSError("no space left on device")
+        return mmwrite(*args, **kwargs)
+
+    monkeypatch.setattr(basisdb, "mmwrite", failing)
+    with pytest.raises(OSError):
+        save_database(new_db, path)
+    assert len(calls) == 5
+    with pytest.raises(ContractError, match="does not contain a basis database"):
+        load_database(path)
+    monkeypatch.setattr(basisdb, "mmwrite", mmwrite)
+    save_database(new_db, path)
+    back = load_database(path)
+    assert np.array_equal(back.grid, new_db.grid)
+    for a, b in zip(new_db.entries, back.entries):
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.u_eq, b.u_eq)
 
 
 def _drop_grid(path):

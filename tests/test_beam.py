@@ -142,18 +142,47 @@ def test_thermal_load_consistency_linear(beam_curved_lin, rng):
         np.testing.assert_allclose(f, k @ u + b, atol=1e-9 * np.linalg.norm(f))
 
 
+def _window_edge_on(points):
+    """A pulse centre whose window, in the arithmetic of
+    :func:`pulse_temperature`, has an edge exactly on one of ``points``,
+    the one nearest mid-span that allows it: the right edge if it can, else
+    the left edge."""
+    width = make_pulse().width
+    for x in sorted(points, key=lambda x: abs(x - 0.5 * L)):
+        for side, target in ((+1, width), (-1, 0.0)):
+            guess = x - side * 0.5 * width
+            for k in range(-8, 9):
+                x_c = guess + k * np.spacing(guess)
+                if x - (x_c - 0.5 * width) == target:
+                    return x_c
+    raise AssertionError(f"no pulse centre puts an edge exactly on {points}")
+
+
 @pytest.mark.parametrize("rise", [0.0, 5e-3], ids=["straight", "curved"])
 @pytest.mark.parametrize("n_elements", [4, 12])
-@pytest.mark.parametrize("x_c", [None, 0.041, 0.005, -0.05],
-                         ids=["cold", "inside", "straddles-end", "off-span"])
+@pytest.mark.parametrize("x_c", [
+    None, 0.041, 0.005, -0.05,
+    lambda model: _window_edge_on(model.x_gauss.ravel()),
+    lambda model: _window_edge_on(model.node_x[1:-1]),
+], ids=["cold", "inside", "straddles-end", "off-span", "edge-on-gauss-point",
+        "edge-on-element-boundary"])
 def test_linear_linearization_is_k_u_plus_b_without_weak_form(rise, n_elements, x_c,
                                                               monkeypatch, rng):
     # under linear kinematics a frozen linearization is K(theta) u + b(theta)
-    # from the cold band and the thermal part: it matches the weak form's
-    # force and tangent, on a band too short for BLAS gbmv (n = 9 < 2p + 1)
-    # too, and evaluates no weak form once it is built
+    # from the cold band and the thermal part of the heated elements: it
+    # matches the weak form's force and tangent, on a band too short for
+    # BLAS gbmv (n = 9 < 2p + 1) too, and evaluates no weak form once it is
+    # built. The heated elements carry every non-zero Gauss temperature,
+    # with the bits of gauss_temperature, also with a window edge exactly
+    # on a Gauss point or an element boundary.
     model = BeamModel(BeamProperties(rise=rise, n_elements=n_elements), make_pulse(),
                       linear_kinematics=True)
+    if callable(x_c):
+        x_c = x_c(model)
+    elements, t_heated = model.heated_elements(x_c)
+    t_all = model.gauss_temperature(x_c)
+    assert np.array_equal(t_heated, t_all[elements])
+    assert not np.delete(t_all, np.arange(n_elements)[elements], axis=0).any()
     linearize = model.linearization(x_c)
     calls = []
     weak_form = kernels._element_weak_form

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from thermrom.errors import ContractError
-from thermrom.metrics import error_instant, error_uniform
+from thermrom.metrics import (
+    adaptive_projection_floor,
+    error_instant,
+    error_uniform,
+    projection_floor,
+)
 
 
 def test_identical_histories_zero_error(rng):
@@ -53,3 +58,32 @@ def test_uniform_error_is_quotient_of_sums(rng):
     expected = (np.linalg.norm(u - ur, axis=1).sum()
                 / np.linalg.norm(u, axis=1).sum())
     assert error_uniform(u, ur) == pytest.approx(expected, rel=1e-14)
+
+
+def test_projection_floor_of_a_constant_subspace(rng):
+    # zero for a history inside the subspace; for one that is not, the
+    # error of its orthogonal projection, which no other history beats
+    basis, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+    inside = rng.standard_normal((20, 3)) @ basis.T
+    assert projection_floor(inside, basis) == pytest.approx(0.0, abs=1e-14)
+    u = inside + 0.1 * rng.standard_normal((20, 8))
+    floor = projection_floor(u, basis)
+    assert floor == error_uniform(u, (u @ basis) @ basis.T) > 0.0
+    assert floor <= error_uniform(u, inside)
+
+
+def test_adaptive_projection_floor_follows_the_frames(rng):
+    # one affine subspace per sample: zero for a history that lies in each
+    # frame, and the constant floor when every frame is the same subspace
+    n, m, steps = 8, 3, 12
+    frames = [(np.linalg.qr(rng.standard_normal((n, m)))[0], rng.standard_normal(n))
+              for _ in range(steps)]
+    inside = np.array([u0 + v @ rng.standard_normal(m) for v, u0 in frames])
+    assert adaptive_projection_floor(inside, frames) == pytest.approx(0.0, abs=1e-14)
+    basis = frames[0][0]
+    u = rng.standard_normal((steps, n))
+    same = ((basis, np.zeros(n)) for _ in range(steps))
+    assert adaptive_projection_floor(u, same) == pytest.approx(
+        projection_floor(u, basis), rel=1e-12)
+    with pytest.raises(ValueError, match="shorter"):
+        adaptive_projection_floor(u, frames[:-1])
