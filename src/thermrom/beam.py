@@ -413,21 +413,14 @@ class BeamModel(SecondOrderModel):
             rows, offset, self._wq_gauss, self._z0p_flat, t_gauss.ravel(),
             p.axial_rigidity, p.bending_rigidity, p.thermal_expansion)
 
-    def reduced_thermal_linearization(self, rows_a, rows_b, w, theta, f_cold, k_cold):
+    def reduced_thermal_linearization(self, rows, t_gauss, f_cold, k_cold):
         """Under linear kinematics: ``q -> (f + J q, lambda: S_T)``, the
         reduced force of ``u = u_org + V q`` and the thermal part ``S_T`` of
-        its tangent at ``theta``, for the basis ``V = (1 - w) V_a + w V_b``
-        with the :meth:`reduced_thermal_rows` ``rows_a``, ``rows_b`` (``b``
-        is not read when ``w = 0``) and the blended cold force ``f_cold``
-        (:meth:`cold_load`) and tangent ``k_cold`` (:meth:`constant_block`).
-        Only the rows of the heated Gauss points (:meth:`heated_elements`)
-        are blended and evaluated
+        its tangent, from the cold force ``f_cold`` (:meth:`cold_load`) and
+        tangent ``k_cold`` (:meth:`constant_block`) of the basis and its
+        :meth:`reduced_thermal_rows` ``rows`` at the heated Gauss points,
+        whose temperatures are ``t_gauss`` (:meth:`heated_elements`)
         (:func:`kernels.reduced_thermal_linearization`)."""
-        elements, t_gauss = self.heated_elements(theta)
-        points = slice(3 * elements.start, 3 * elements.stop)
-        rows = rows_a[points]
-        if w != 0.0:
-            rows = (1.0 - w) * rows + w * rows_b[points]
         return kernels.reduced_thermal_linearization(
             rows, (t_gauss * self._wq_thermal).ravel(), f_cold, k_cold)
 

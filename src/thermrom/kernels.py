@@ -337,20 +337,12 @@ def _element_tangent(tables, gmat, ngeo, ea, ei):
     )).sum(axis=1)
 
 
-def _add_element_blocks(out, index, blocks):
-    """Add per-element ``blocks`` into ``out`` at the flat positions
-    ``index`` of :func:`_scatter_index`: even elements, then odd elements.
-    The positions of one pass are distinct, so each pass is one fancy add."""
-    flat = out.reshape(-1)
-    for first, part in enumerate(index):
-        flat[part] += blocks[first::2]
-    return out
-
-
-def _add_element_range(out, index, blocks, start):
-    """:func:`_add_element_blocks` for the elements ``start, start + 1,
-    ...`` only. Even elements still come first, so every entry sums its
-    contributions in the order a whole mesh would."""
+def _add_element_blocks(out, index, blocks, start=0):
+    """Add the blocks of the elements ``start, start + 1, ...`` into
+    ``out`` at the flat positions ``index`` of :func:`_scatter_index`: even
+    elements, then odd elements, so every entry sums its contributions in
+    the order a whole mesh would. The positions of one pass are distinct,
+    so each pass is one fancy add."""
     flat = out.reshape(-1)
     for parity, part in enumerate(index):
         mine = blocks[(parity - start) % 2::2]
@@ -400,8 +392,8 @@ def linear_stiffness_and_load(cold_band, tables, gmat, wq_nt, start):
     force_index, band_index = _scatter_index(n // 3 - 1)
     thermal = (wq_nt @ tables.bwbw.reshape(3, 36)).reshape(-1, 6, 6)
     load = np.matmul(wq_nt[:, None, :], gmat)[:, 0]
-    return (_add_element_range(cold_band.copy(), band_index, thermal, start),
-            _add_element_range(np.zeros(n), force_index, load, start))
+    return (_add_element_blocks(cold_band.copy(), band_index, thermal, start),
+            _add_element_blocks(np.zeros(n), force_index, load, start))
 
 
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):

@@ -279,17 +279,26 @@ class AdaptiveRom(TransientSystem):
             self._m_red, self._c_red, self._k_const = blocks[:3 * m].reshape(3, m, m)
             self._coeffs = None
         if self._linear:
-            rows_b = self._node_rows[j + 1] if w != 0.0 else None
+            # The thermal rows hold three Gauss points per element; only
+            # those of the heated elements are blended.
+            elements, t_gauss = self.model.heated_elements(theta)
+            rows = self._blend(self._node_rows, slice(3 * elements.start, 3 * elements.stop))
             self._kernel = self.model.reduced_thermal_linearization(
-                self._node_rows[j], rows_b, w, theta, blocks[3 * m], self._k_const)
+                rows, t_gauss, blocks[3 * m], self._k_const)
         else:
-            rows, offset = self._node_rows[j], self._node_offsets[j]
-            if w != 0.0:
-                rows = (1.0 - w) * rows + w * self._node_rows[j + 1]
-                offset = (1.0 - w) * offset + w * self._node_offsets[j + 1]
             self._kernel = self.model.reduced_linearization(
-                rows, offset, self.model.gauss_temperature(theta))
+                self._blend(self._node_rows), self._blend(self._node_offsets),
+                self.model.gauss_temperature(theta))
         self._g = self._rhs(t_end)
+
+    def _blend(self, node_arrays, points=slice(None)):
+        """``(1 - w) X_j + w X_{j+1}`` at the step's cell and weight, from
+        the per-node arrays ``X``, restricted to ``X[points]``."""
+        j, w = self._cell
+        out = node_arrays[j][points]
+        if w != 0.0:
+            out = (1.0 - w) * out + w * node_arrays[j + 1][points]
+        return out
 
     def residual(self, q, qd, qdd):
         f, self._tangent = self._linearize(q)
