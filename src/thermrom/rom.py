@@ -203,9 +203,10 @@ class AdaptiveRom(TransientSystem):
     :meth:`BeamModel.constant_block`, with ``X_ab = V_a' X V_b``, stacked in
     rows; under linear kinematics the cold force of
     :meth:`BeamModel.cold_load` is one more row. ``begin_step`` blends them
-    for one position in the chain and freezes the reduced kernel there. Subclasses choose that position (:meth:`_place`),
-    the right-hand side (:meth:`_rhs`) and the reduced force with the
-    callable for its state-dependent tangent (:meth:`_linearize`).
+    for one position in the chain and freezes the reduced kernel there.
+    Subclasses choose that position (:meth:`_place`), the right-hand side
+    (:meth:`_rhs`) and the reduced force with the callable for its
+    state-dependent tangent (:meth:`_linearize`).
     """
 
     def __init__(self, model, database, tau_of_t, xc_of_tau, load=None):
