@@ -356,6 +356,25 @@ def _floats(text):
     return np.array([float(t) for t in text.split()])
 
 
+def _read_matrix(path):
+    """A dense real matrix from a Matrix Market array file written by
+    ``mmwrite``: the values in column order after the header, comments and
+    shape. numpy's parse keeps the sign of a zero, which ``mmread`` drops.
+    ``mmwrite`` stores a square (skew-)symmetric matrix as one triangle;
+    such a file is left to ``mmread``."""
+    with open(path) as fh:
+        if fh.readline().split() != ["%%MatrixMarket", "matrix", "array", "real", "general"]:
+            return np.asarray(mmread(str(path)))
+        line = fh.readline()
+        while line.startswith("%"):
+            line = fh.readline()
+        rows, cols = (int(v) for v in line.split())
+        values = np.array(fh.read().split(), dtype=float)
+    if values.size != rows * cols:
+        raise ValueError(f"{values.size} values for a {rows} x {cols} array")
+    return np.ascontiguousarray(values.reshape(cols, rows).T)
+
+
 def _read(path, parse):
     """``parse(path)``; a missing or unparsable file is a :class:`ContractError`
     that names it."""
@@ -398,9 +417,9 @@ def load_database(directory) -> BasisDatabase:
         edir = directory / f"entry_{j:02d}"
         entries.append(LocalBasis(
             x_c=float(x_c),
-            u_eq=_read(edir / "u_eq.mtx", lambda f: np.asarray(mmread(str(f))).ravel()),
+            u_eq=_read(edir / "u_eq.mtx", lambda f: _read_matrix(f).ravel()),
             frequencies=_read(edir / "frequencies.txt", lambda f: _floats(f.read_text())),
-            matrix=_read(edir / "basis.mtx", lambda f: np.asarray(mmread(str(f)))),
+            matrix=_read(edir / "basis.mtx", _read_matrix),
             kind=kind,
         ))
     return BasisDatabase(

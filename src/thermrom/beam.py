@@ -118,6 +118,12 @@ def pulse_temperature(x, x_c, pulse):
     return t
 
 
+def _positions(thetas):
+    """The temperature parameters of a run of steps as an array, or None
+    when they are None (a cold beam)."""
+    return None if thetas[0] is None else np.asarray(thetas, dtype=float)
+
+
 def _element_mass(rho_a, ell):
     m = np.zeros((6, 6))
     ax = rho_a * ell / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -188,6 +194,13 @@ class BeamModel(SecondOrderModel):
         self._damping = (p.damping_modulus / p.youngs_modulus) * k_cold
         self._membrane_rows = self.tables.ba + self.z0_slope_gauss[..., None] * self.tables.bw
         self._wq_thermal = self.tables.wq * (-p.axial_rigidity * p.thermal_expansion)
+        # Elements in a heated window (heated_elements). Its points span
+        # less than the pulse width plus three gaps between Gauss points
+        # (each under 0.39 element lengths) and lie at least 0.11 element
+        # lengths inside their elements, so ceil(width / length) + 2
+        # elements hold them.
+        self._heated_count = 0 if pulse is None else min(
+            n_el, int(np.ceil(pulse.width / self.element_length)) + 2)
         for arr in (self._mass_full, self._mass, self._damping, self.node_x,
                     self.x_gauss, self._x_gauss_flat, self.z0_slope_gauss, self.free_dofs,
                     self._wq_gauss, self._cold_band, self._membrane_rows,
@@ -254,26 +267,43 @@ class BeamModel(SecondOrderModel):
         return m
 
     def gauss_temperature(self, x_c):
+        """Temperatures at the Gauss points, shape (n_el, 3), of the pulse
+        at ``x_c``. A 1-D array of positions gives one such array per
+        position, shape (len(x_c), n_el, 3), evaluated on the
+        :meth:`heated_elements` alone."""
         if self.pulse is None or x_c is None:
             return np.zeros_like(self.x_gauss)
+        if np.ndim(x_c):
+            first, heated = self.heated_elements(x_c)
+            windows = first[:, None] + np.arange(heated.shape[1])
+            out = np.zeros((len(first),) + self.x_gauss.shape)
+            out[np.arange(len(first))[:, None], windows] = heated
+            return out
         return pulse_temperature(self.x_gauss, float(x_c), self.pulse)
 
     def heated_elements(self, theta):
-        """The elements that the pulse at ``theta`` may heat, as a slice,
-        with :meth:`gauss_temperature` on them, shape (k, 3); the Gauss
-        points of every other element are cold. Only the sliced points are
-        evaluated, so each temperature has the bits of
-        :meth:`gauss_temperature`."""
+        """The window of elements that holds every Gauss point the pulse at
+        ``theta`` may heat: its first element and :meth:`gauss_temperature`
+        on it, shape (k, 3); the Gauss points of every other element are
+        cold. The window has the same size ``k`` for every position, and an
+        array of positions gives an array of first elements and
+        temperatures of shape (..., k, 3), element for element what each
+        position gives alone. Only the window's points are evaluated, so
+        each temperature has the bits of :meth:`gauss_temperature`."""
         if self.pulse is None or theta is None:
-            return slice(0, 0), np.zeros((0, 3))
-        x0 = float(theta) - 0.5 * self.pulse.width
-        # Points lo .. hi - 1 lie in [x0, x0 + width), point hi may lie on
-        # the right edge; one more point on each side absorbs the round-off
-        # of pulse_temperature's window test.
-        lo, hi = self._x_gauss_flat.searchsorted((x0, x0 + self.pulse.width))
-        n_gauss = self._x_gauss_flat.size
-        elements = slice(max(lo - 1, 0) // 3, (min(hi + 2, n_gauss) + 2) // 3)
-        return elements, pulse_temperature(self.x_gauss[elements], float(theta), self.pulse)
+            return 0, np.zeros((0, 3))
+        x_c = np.asarray(theta, dtype=float)
+        # Points from lo on lie at or right of the pulse window's start; the
+        # window of elements starts at the element of one more point on the
+        # left, which absorbs the round-off of pulse_temperature's window
+        # test, and holds the pulse window and one more point on its right.
+        # At the beam's right end it starts further left.
+        lo = self._x_gauss_flat.searchsorted(x_c - 0.5 * self.pulse.width)
+        k = self._heated_count
+        first = np.minimum(np.maximum(lo - 1, 0) // 3, self.properties.n_elements - k)
+        t = pulse_temperature(self.x_gauss[first[..., None] + np.arange(k)],
+                              x_c[..., None, None], self.pulse)
+        return (int(first), t) if x_c.ndim == 0 else (first, t)
 
     def mass(self, reduce=True):
         return self._mass if reduce else self._mass_full
@@ -282,13 +312,11 @@ class BeamModel(SecondOrderModel):
         return self._damping
 
     def _kernel_args(self, u, theta):
-        return (self._embed(u), *self._frozen_args(theta))
-
-    def _frozen_args(self, theta):
-        """The kernel arguments after the displacement, at temperature
+        """The kernel arguments at displacement ``u`` and temperature
         ``theta``."""
         p = self.properties
         return (
+            self._embed(u),
             self.tables,
             self.z0_slope_gauss,
             self.gauss_temperature(theta),
@@ -318,37 +346,59 @@ class BeamModel(SecondOrderModel):
         return kernels.HALF_BANDWIDTH
 
     def linearization(self, theta):
-        # The Gauss-point temperatures are evaluated here, once per theta.
+        return self.linearizations([theta])(0)
+
+    def linearizations(self, thetas):
+        # The Gauss-point temperatures of all thetas are evaluated here, in
+        # one pass.
         if self.linear_kinematics:
-            return self._linear_force(theta)
-        # Every state of the step is embedded into one buffer: the kernel
-        # keeps nothing that refers to it.
-        args = self._frozen_args(theta)
-        free = self._free
+            return self._linear_forces(thetas)
+        t_gauss = np.broadcast_to(self.gauss_temperature(_positions(thetas)),
+                                  (len(thetas),) + self.x_gauss.shape)
+        p = self.properties
+        free, tables, z0p = self._free, self.tables, self.z0_slope_gauss
+        # Every state is embedded into one buffer: the kernel keeps nothing
+        # that refers to it.
         full = np.zeros(self.n_full)
 
-        def linearize(u):
-            f, tangent = kernels.beam_linearization(self._embed(u, full), *args)
-            return f[free], lambda: tangent()[:, free]
-        return linearize
+        def at(i):
+            t_i = t_gauss[i]
 
-    def _linear_force(self, theta):
-        """``u -> (K u + b, lambda: K)`` with the free-dof band ``K`` and the
-        load ``b`` at ``theta``: no weak form is evaluated, and only the
-        heated elements add thermal blocks."""
-        elements, t_gauss = self.heated_elements(theta)
-        band, load = kernels.linear_stiffness_and_load(
-            self._cold_band, self.tables, self._membrane_rows[elements],
-            t_gauss * self._wq_thermal, elements.start)
-        k = np.asfortranarray(band[:, self._free])
-        b = load[self._free]
+            def linearize(u):
+                f, tangent = kernels.beam_linearization(
+                    self._embed(u, full), tables, z0p, t_i, p.axial_rigidity,
+                    p.bending_rigidity, p.thermal_expansion, True)
+                return f[free], lambda: tangent()[:, free]
+            return linearize
+        return at
+
+    def _linear_forces(self, thetas):
+        """``at(i) -> (u -> (K u + b, lambda: K))`` with the free-dof band
+        ``K`` and the load ``b`` at ``thetas[i]``: no weak form is
+        evaluated, and only the heated elements add thermal blocks. The
+        loads of all thetas are built here; the bands share one workspace,
+        which ``at(i)`` turns from the previous one's into this one's."""
+        count = len(thetas)
+        first, t_heated = self.heated_elements(_positions(thetas))
+        first = np.broadcast_to(first, (count,))
+        t_heated = np.broadcast_to(t_heated, (count,) + t_heated.shape[-2:])
+        windows = first[:, None] + np.arange(t_heated.shape[1])
+        loads, band, hold = kernels.linear_stiffness_and_loads(
+            self._cold_band, self.tables, self._membrane_rows[windows],
+            t_heated * self._wq_thermal, first)
+        k, b = band[:, self._free], loads[:, self._free]
         n, p = self.dof_count, kernels.HALF_BANDWIDTH
-        if n <= 2 * p:
-            # scipy's gbmv takes only bands with n >= 2p + 1.
-            k_dense = kernels.band_to_dense(k)
-            return lambda u: (k_dense @ u + b, lambda: k)
-        # gbmv copies y = b before it adds K u, so b serves every state.
-        return lambda u: (dgbmv(n, n, p, p, 1.0, k, u, beta=1.0, y=b), lambda: k)
+
+        def at(i):
+            hold(i)
+            b_i = b[i]
+            if n <= 2 * p:
+                # scipy's gbmv takes only bands with n >= 2p + 1.
+                k_dense = kernels.band_to_dense(k)
+                return lambda u: (k_dense @ u + b_i, lambda: k)
+            # gbmv copies y = b before it adds K u, so b serves every state.
+            return lambda u: (dgbmv(n, n, p, p, 1.0, k, u, beta=1.0, y=b_i), lambda: k)
+        return at
 
     # -- reduced evaluation -------------------------------------------------
 
@@ -414,15 +464,16 @@ class BeamModel(SecondOrderModel):
             p.axial_rigidity, p.bending_rigidity, p.thermal_expansion)
 
     def reduced_thermal_linearization(self, rows, t_gauss, f_cold, k_cold):
-        """Under linear kinematics: ``q -> (f + J q, lambda: S_T)``, the
-        reduced force of ``u = u_org + V q`` and the thermal part ``S_T`` of
-        its tangent, from the cold force ``f_cold`` (:meth:`cold_load`) and
-        tangent ``k_cold`` (:meth:`constant_block`) of the basis and its
-        :meth:`reduced_thermal_rows` ``rows`` at the heated Gauss points,
-        whose temperatures are ``t_gauss`` (:meth:`heated_elements`)
+        """Under linear kinematics, for a block of steps: the reduced force
+        ``f`` at ``q = 0`` of ``u = u_org + V q``, its tangent ``J`` and the
+        thermal part ``S_T`` of the tangent, one row per step, so that the
+        force is ``f + J q``. From each step's cold force ``f_cold``
+        (:meth:`cold_load`) and tangent ``k_cold`` (:meth:`constant_block`)
+        and its :meth:`reduced_thermal_rows` ``rows`` at the heated Gauss
+        points, whose temperatures are ``t_gauss`` (:meth:`heated_elements`)
         (:func:`kernels.reduced_thermal_linearization`)."""
         return kernels.reduced_thermal_linearization(
-            rows, (t_gauss * self._wq_thermal).ravel(), f_cold, k_cold)
+            rows, (t_gauss * self._wq_thermal).reshape(len(t_gauss), -1), f_cold, k_cold)
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

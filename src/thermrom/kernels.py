@@ -63,9 +63,11 @@ and ``N_geo = N_T``, so the force at a frozen temperature is
 where ``K0 = G' diag(wq EA) G + B' diag(wq EI) B`` is the cold tangent,
 and ``N_T`` vanishes outside the pulse window. The full model keeps
 ``K0``, the band of its cold tangent, from the set-up and adds the thermal
-blocks and load of the heated elements only
-(:func:`linear_stiffness_and_load`); its force is then one BLAS ``gbmv``
-with no weak form (``BeamModel.linearization``). The reduced model splits
+blocks and load of the heated elements only, for a block of steps at once
+(:func:`linear_stiffness_and_loads`: the loads of every step, and one band
+workspace that each step turns from the last step's band into its own);
+its force is then one BLAS ``gbmv`` with no weak form
+(``BeamModel.linearizations``). The reduced model splits
 its force on a basis the same way,
 
     V'f(u_org + V q) = f_cold + f_T + (K_cold + S_T) q,
@@ -76,8 +78,9 @@ B'(wq EI w''_org)`` (:func:`reduced_cold_load`), which are bilinear in
 the rows and offsets of the basis and so are built per basis node and
 cell, offline, and blended like the mass. Only the thermal part,
 ``S_T = W' diag(c) W`` and ``f_T = G'c + W'(c w'_org)`` with
-``c = wq N_T``, is evaluated per step, from the rows of the heated Gauss
-points (:func:`reduced_thermal_linearization`). Full kinematics, and the
+``c = wq N_T``, depends on the step; it is evaluated for a block of steps
+at once, from the rows of each step's heated Gauss points
+(:func:`reduced_thermal_linearization`). Full kinematics, and the
 single evaluations of :func:`beam_force` and :func:`beam_force_and_tangent`
 that the set-up makes, keep the weak form.
 
@@ -127,7 +130,7 @@ __all__ = [
     "beam_linearization",
     "beam_force",
     "beam_force_and_tangent",
-    "linear_stiffness_and_load",
+    "linear_stiffness_and_loads",
     "beam_strain_energy",
     "gauss_rows",
     "reduced_linearization",
@@ -382,18 +385,56 @@ def beam_force_and_tangent(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlin
     return f, tangent()
 
 
-def linear_stiffness_and_load(cold_band, tables, gmat, wq_nt, start):
-    """Under linear kinematics: the tangent band ``K0 + W' diag(wq N_T) W``
-    and the thermal load ``G'(wq N_T)``, both unconstrained, from the cold
-    tangent band ``K0``, the constant membrane rows ``G = ba + z0' bw`` and
-    ``wq N_T`` of the elements ``start, start + 1, ...`` ((k, 3, 6) and
-    (k, 3)); the other elements are cold. ``K0`` is not modified."""
+def linear_stiffness_and_loads(cold_band, tables, gmat, wq_nt, first):
+    """Under linear kinematics, for a block of steps: the thermal loads
+    ``G'(wq N_T)``, unconstrained, one row per step, and the tangent bands
+    ``K0 + W' diag(wq N_T) W`` of the steps, one at a time in one workspace.
+
+    Step ``i`` heats the ``k`` elements ``first[i], first[i] + 1, ...``,
+    whose constant membrane rows ``G = ba + z0' bw`` and ``wq N_T`` are
+    ``gmat[i]`` (k, 3, 6) and ``wq_nt[i]`` (k, 3); the other elements are
+    cold. Returns ``(loads, band, hold)``: ``band`` is the workspace, a
+    Fortran-ordered ``(2p+1, n)`` band that starts as the cold band ``K0``
+    (which is not modified), and ``hold(i)`` makes it step ``i``'s band: it
+    restores the columns of the elements it held from ``K0`` and adds step
+    ``i``'s blocks. Every entry sums its element contributions in the order
+    of :func:`_add_element_blocks`, even elements first."""
+    count, k = wq_nt.shape[:2]
     n = cold_band.shape[1]
-    force_index, band_index = _scatter_index(n // 3 - 1)
-    thermal = (wq_nt @ tables.bwbw.reshape(3, 36)).reshape(-1, 6, 6)
-    load = np.matmul(wq_nt[:, None, :], gmat)[:, 0]
-    return (_add_element_blocks(cold_band.copy(), band_index, thermal, start),
-            _add_element_blocks(np.zeros(n), force_index, load, start))
+    n_el = n // 3 - 1
+    steps = np.arange(count)[:, None]
+    elements = first[:, None] + np.arange(k)
+    dofs = _dof_index(n_el)[elements]
+    element_loads = np.matmul(wq_nt[..., None, :], gmat)[..., 0, :]
+    # The loads of all steps in two fancy adds, even elements then odd: in
+    # a pass no two entries share a position, in one row or across rows.
+    loads = np.zeros((count, n))
+    flat = loads.reshape(-1)
+    positions = n * steps[..., None] + dofs
+    for parity in (0, 1):
+        mine = elements % 2 == parity
+        flat[positions[mine]] += element_loads[mine]
+    # Per step, the thermal entries and their flat positions in the band's
+    # C-ordered transpose (a Fortran-ordered band), even elements first;
+    # the first `even` of them belong to even elements.
+    order = np.argsort(elements % 2, axis=1, kind="stable")
+    thermal = (wq_nt[steps, order].reshape(-1, 3) @ tables.bwbw.reshape(3, 36)).reshape(count, -1)
+    band_positions = (_BAND_ROW + (2 * HALF_BANDWIDTH + 1) * dofs[steps, order][..., None, :]
+                      ).reshape(count, -1)
+    even = 36 * np.count_nonzero(elements % 2 == 0, axis=1)
+    band_t = cold_band.T.copy()
+    flat_t = band_t.reshape(-1)
+    held = [0]
+
+    def hold(i):
+        lo, hi = 3 * held[0], 3 * (held[0] + k + 1)
+        band_t[lo:hi] = cold_band.T[lo:hi]
+        split = even[i]
+        flat_t[band_positions[i, :split]] += thermal[i, :split]
+        flat_t[band_positions[i, split:]] += thermal[i, split:]
+        held[0] = first[i]
+
+    return loads, band_t.T, hold
 
 
 def beam_strain_energy(u_full, tables, z0p, t_gauss, ea, ei, alpha_t, nonlinear=True):
@@ -516,18 +557,20 @@ def reduced_thermal_rows(rows, offset, z0p):
 
 
 def reduced_thermal_linearization(rows, wq_nt, f_cold, k_cold):
-    """Under linear kinematics: ``q -> (f + J q, lambda: S_T)`` with
-    ``J = k_cold + S_T`` and ``f = f_cold + f_T``, from the cold tangent and
-    force of one basis and its :func:`reduced_thermal_rows` at the heated
-    Gauss points, where ``c = wq N_T``:
+    """Under linear kinematics, for a block of steps: the reduced force
+    ``f = f_cold + f_T`` of ``u = u_org + V q`` at ``q = 0``, its tangent
+    ``J = k_cold + S_T`` and the thermal part ``S_T``, from the cold
+    tangent and force of each step's basis and its
+    :func:`reduced_thermal_rows` at the step's heated Gauss points, where
+    ``c = wq N_T``:
 
         S_T = W' diag(c) W,  f_T = G'c + W'(c w'_org).
 
-    The callable refers to neither the rows nor the caller."""
-    m = k_cold.shape[0]
+    ``rows`` is (B, p, 2m + 2) and ``wq_nt`` (B, p) at p heated points,
+    ``f_cold`` (B, m) and ``k_cold`` (B, m, m); returns ``(f, J, S_T)``,
+    one row per step."""
+    m = k_cold.shape[-1]
     # [G | W | 1 | w']' diag(c) [W | 1] holds W'cW, G'c and W'(c w').
-    sums = rows.T @ (wq_nt[:, None] * rows[:, m:2 * m + 1])
-    s_t = sums[m:2 * m, :m]
-    f = f_cold + sums[:m, m] + sums[2 * m + 1, :m]
-    jac = k_cold + s_t
-    return lambda q: (f + jac @ q, lambda: s_t)
+    sums = np.matmul(rows.swapaxes(-1, -2), wq_nt[..., None] * rows[..., m:2 * m + 1])
+    s_t = sums[..., m:2 * m, :m]
+    return f_cold + sums[..., :m, m] + sums[..., 2 * m + 1, :m], k_cold + s_t, s_t

@@ -92,6 +92,15 @@ class SecondOrderModel(ABC):
                 self.tangent_stiffness(u, theta), self.half_bandwidth)
         return linearize
 
+    def linearizations(self, thetas):
+        """The :meth:`linearization` of each temperature of a run of steps:
+        returns ``at(i)``, which gives that of ``thetas[i]`` (all None for a
+        cold model). A step's linearization is used until ``at`` is called
+        for the next one, so an override may build what depends on the
+        temperatures for all of them at once and let the linearizations
+        share workspaces."""
+        return [self.linearization(theta) for theta in thetas].__getitem__
+
     @property
     def characteristic_length(self) -> float:
         """Length scale used for finite-difference step selection."""

@@ -51,8 +51,13 @@ class TransientSystem(ABC):
     reduction basis and origin); the default is a no-op. The integrator
     calls it once per step, and once as ``begin_step(0, 0)`` before the
     initial residual, and evaluates every residual and iteration matrix of
-    the step at ``t_end``. The residual is ``M a + C v + f(u) - g`` in
-    whatever coordinates the system lives in.
+    the step at ``t_end``. Before the first call it hands the system the
+    intervals of all these calls, in order, through :meth:`plan_steps`,
+    so that a system can freeze the time-only quantities of many steps at
+    once; the default ignores the plan, and a system must still answer a
+    ``begin_step`` that is not the next planned one (the systems of
+    :mod:`thermrom.rom` freeze that one interval alone). The residual is
+    ``M a + C v + f(u) - g`` in whatever coordinates the system lives in.
 
     ``iteration_matrix(c_acc, c_vel)`` is the tangent at the state of the
     last ``residual`` call; the integrator calls it once per Newton
@@ -66,6 +71,11 @@ class TransientSystem(ABC):
     @property
     @abstractmethod
     def ndof(self) -> int: ...
+
+    def plan_steps(self, t_start: np.ndarray, t_end: np.ndarray) -> None:
+        """The intervals of every ``begin_step`` call of a run, in call
+        order, the initial ``(0, 0)`` first."""
+        return None
 
     def begin_step(self, t_start: float, t_end: float) -> None:
         return None
@@ -116,6 +126,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     step_residuals = np.zeros(n_steps + 1)
     newton_iterations = np.zeros(n_steps + 1, dtype=int)
 
+    system.plan_steps(np.concatenate(([0.0], times[:-1])), times)
     system.begin_step(0.0, 0.0)
     rhs0 = -system.residual(u, v, np.zeros(n))
     _residual_norm(rhs0, [], 0, 0.0)

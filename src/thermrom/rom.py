@@ -29,7 +29,9 @@ the state alone. The three models differ in where they freeze:
 
 The slow phase ``tau`` enters through two scenario-supplied maps: the pulse
 center ``x_c(tau)`` and ``tau(t) = eps * nu * t`` with ``nu`` the fast
-(forcing) rate.
+(forcing) rate. The systems call these maps, and the temperature map
+``theta_of_t`` of the full and constant-basis models, with arrays of times
+or phases, elementwise; a map that returns one scalar is constant.
 
 The work is split into an offline and an online part. Offline, when a model
 is built, each basis node gets its Gauss-point rows from
@@ -40,30 +42,46 @@ state-independent part of the reduced tangent ``K_const``
 cell ``(j, j+1)`` gets three m x m blocks of each. Under linear kinematics
 ``K_const`` is the whole cold tangent, and the cold force at the origin
 (:meth:`BeamModel.cold_load`), quadratic in ``w`` too, is stacked below the
-blocks, so one blend serves all four. Online, ``begin_step`` blends the
-blocks at the cell and weight from :func:`basisdb.cell_weight` (the helper
-:func:`basisdb.interpolate_basis` and the batched reconstruction use too),
-freezes the reduced kernel at the step's temperature, and projects the
-step's right-hand side on the two node bases ``V_j``, ``V_{j+1}``, blending
-the two m-vectors; the n x m basis itself is never blended online.
+blocks, so one blend serves all four.
 
-- Under full kinematics ``begin_step`` blends the rows too, and each
+Online, what depends on time alone is frozen for a block of
+``BLOCK_STEPS`` steps at once, in a few vectorised calls, and each
+``begin_step`` reads its step's row. The integrator hands a system the
+intervals of its steps before the first (``plan_steps``); a
+``begin_step`` off that plan, such as a direct call, freezes a block of
+its one interval with the same code, so a row does not depend on the
+block it was frozen in. Per block and step the reduced models freeze the
+pulse position, the cell and weight from :func:`basisdb.cell_weight`
+(which :func:`basisdb.interpolate_basis` and the batched reconstruction
+use too), the blended blocks with the check of the blended mass, and the
+right-hand side: the block's loads, stacked, projected on the node bases
+``V_j``, ``V_{j+1}`` and blended as m-vectors; the n x m basis itself is
+never blended online. Nothing frozen is sized by the number of steps
+times ``n``.
+
+- Under full kinematics the block holds the Gauss temperatures of each
+  step, and ``begin_step`` blends the rows and offsets of its step; each
   Newton iteration evaluates the reduced weak form once from them
   (:func:`kernels.reduced_linearization`), at a cost of O(m^2) per Gauss
   point, with no n-sized assembly or projection.
 - Under linear kinematics the force is affine in ``q`` and only its
-  thermal part depends on the step: ``begin_step`` blends the rows of the
-  Gauss points the pulse heats (:meth:`BeamModel.heated_elements`) and
-  adds their thermal force and tangent to the blended cold ones
+  thermal part depends on the step: the block blends the rows of each
+  step's heated Gauss points (:meth:`BeamModel.heated_elements`) and adds
+  their thermal force and tangent to the blended cold ones
   (:meth:`BeamModel.reduced_thermal_linearization`). No weak form is
   evaluated, and every residual of the step is ``f + J q``.
 
+The slow correction keeps its right-hand side per step, as it needs the
+leading-order state of the step.
+
 Every ``residual`` keeps the tangent callable of its state, and
 ``iteration_matrix`` builds the tangent from it; the full model's comes from
-``model.linearization(theta)``. For the beam that is
-:func:`kernels.beam_linearization` under full kinematics, and under linear
-kinematics ``K(theta) u + b(theta)`` from the cold band and the thermal
-part of the heated elements, assembled once per step, with no weak form.
+the block's ``model.linearizations(thetas)``, with the temperatures and
+loads of the block. For the beam that is :func:`kernels.beam_linearization`
+under full kinematics, and under linear kinematics ``K(theta) u +
+b(theta)``: the loads ``b`` of the block at once, and one band workspace
+that each step turns from the previous step's ``K`` into its own, with no
+weak form.
 The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
 formed once per coefficient pair and damping band. A reduced
 iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first
@@ -73,6 +91,8 @@ the state-dependent tangent of the last residual; it is solved with LAPACK
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -106,15 +126,65 @@ def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):
     return u
 
 
-class FullSystem(TransientSystem):
+#: Planned steps frozen at once: ``begin_step`` freezes the time-only
+#: quantities of this many steps when it runs past the last frozen one.
+#: A block's fixed cost is a few dozen numpy calls; its memory grows with
+#: it (64 rows of a 20-mode model's blended blocks take 0.6 MB), and so
+#: does its time per step once its arrays outgrow the core's cache.
+BLOCK_STEPS = 64
+
+
+def _at_times(fn, times):
+    """``fn`` of an array of times (or slow phases) as an array of that
+    shape, or None where ``fn`` gives None (a cold model)."""
+    out = fn(times)
+    return None if out is None else np.broadcast_to(np.asarray(out, dtype=float), times.shape)
+
+
+class _BlockFrozen(TransientSystem):
+    """A system whose time-only quantities are frozen for blocks of steps.
+
+    :meth:`_freeze` evaluates them for arrays of step intervals, one row
+    per step, in a few vectorised calls; each ``begin_step`` reads its row
+    (:meth:`_row`). The planned steps are frozen ``BLOCK_STEPS`` at a time;
+    a ``begin_step`` that is not the next planned one freezes a block of its
+    one interval with the same code, so a row depends on its interval
+    alone, not on the block it was frozen in.
+    """
+
+    _plan = (np.empty(0), np.empty(0))
+    _next = _stop = 0
+
+    def plan_steps(self, t_start, t_end):
+        self._plan = np.asarray(t_start, dtype=float), np.asarray(t_end, dtype=float)
+        self._next = self._stop = 0
+
+    def _row(self, t_start, t_end):
+        """The frozen block that holds the step ``(t_start, t_end)`` and the
+        step's row in it."""
+        starts, ends = self._plan
+        k = self._next
+        if k < starts.size and starts[k] == t_start and ends[k] == t_end:
+            self._next = k + 1
+            if k >= self._stop:
+                # The last block goes before the next one is frozen.
+                self._block, stop = None, min(k + BLOCK_STEPS, starts.size)
+                self._block = self._freeze(starts[k:stop], ends[k:stop])
+                self._first, self._stop = k, stop
+            return self._block, k - self._first
+        return self._freeze(np.array([t_start], dtype=float), np.array([t_end], dtype=float)), 0
+
+
+class FullSystem(_BlockFrozen):
     """Unreduced equations of motion of a second-order model.
 
-    ``theta_of_t`` maps time to the temperature parameter (None for a cold
-    model), ``load`` is the applied force ``g(t)``. The temperature, the
-    damping ``model.damping(theta)``, the load and the model's
-    ``linearization`` (with the beam's Gauss-point temperatures) are frozen
-    at ``t_end`` of each step; the damping is re-banded only when the model
-    returns a new array.
+    ``theta_of_t`` maps an array of times to the temperature parameters
+    (None for a cold model), ``load`` a time to the applied force ``g(t)``.
+    Per block of steps the temperatures, the loads and the model's
+    ``linearizations`` (with the beam's Gauss-point temperatures) are
+    frozen at the steps' ``t_end``; a step reads its row and asks
+    ``model.damping(theta)``, re-banding it only when the model returns a
+    new array.
 
     The iteration matrix is kept in band storage of the model's
     ``half_bandwidth`` ``p`` and solved with a banded LU, and the residual
@@ -143,15 +213,22 @@ class FullSystem(TransientSystem):
     def mass(self):
         return self._mass
 
+    def _freeze(self, t_start, t_end):
+        thetas = _at_times(self.theta_of_t, t_end)
+        return SimpleNamespace(
+            theta=thetas, load=np.array([self.load(t) for t in t_end]),
+            linearization=self.model.linearizations(
+                [None] * t_end.size if thetas is None else thetas))
+
     def begin_step(self, t_start, t_end):
-        theta = self.theta_of_t(t_end)
-        damping = self.model.damping(theta)
+        block, row = self._row(t_start, t_end)
+        damping = self.model.damping(None if block.theta is None else block.theta[row])
         if damping is not self._damping:
             self._damping = damping
             self._damping_band = np.asfortranarray(dense_to_band(damping, self._p))
             self._coeffs = None
-        self._linearize = self.model.linearization(theta)
-        self._g = self.load(t_end)
+        self._linearize = block.linearization(row)
+        self._g = block.load[row]
 
     def residual(self, u, v, a):
         f, self._tangent = self._linearize(u)
@@ -186,7 +263,7 @@ class FullSystem(TransientSystem):
         return x
 
 
-class AdaptiveRom(TransientSystem):
+class AdaptiveRom(_BlockFrozen):
     """Galerkin model on the slowly adapting basis of an aligned database.
 
     Residual at the frozen slow phase ``tau`` of the step midpoint:
@@ -202,10 +279,12 @@ class AdaptiveRom(TransientSystem):
     damping and the state-independent tangent ``K_const`` of
     :meth:`BeamModel.constant_block`, with ``X_ab = V_a' X V_b``, stacked in
     rows; under linear kinematics the cold force of
-    :meth:`BeamModel.cold_load` is one more row. ``begin_step`` blends them
-    for one position in the chain and freezes the reduced kernel there.
-    Subclasses choose that position (:meth:`_place`), the right-hand side
-    (:meth:`_rhs`) and the reduced force with the callable for its
+    :meth:`BeamModel.cold_load` is one more row. Per block of steps,
+    :meth:`_freeze` blends them for each step's position in the chain,
+    checks the blended masses, and freezes what else depends on time alone
+    (see the module docstring); ``begin_step`` reads the step's row.
+    Subclasses choose the positions (:meth:`_place`), the right-hand sides
+    (:meth:`_block_rhs`) and the reduced force with the callable for its
     state-dependent tangent (:meth:`_linearize`).
     """
 
@@ -237,7 +316,7 @@ class AdaptiveRom(TransientSystem):
         # Mass, damping and constant-tangent blocks, stacked in rows, and
         # under linear kinematics the cold force below them: per node, and
         # per cell the symmetrized cross term.
-        self._node_blocks = [blocks(j, j) for j in range(n_nodes)]
+        self._node_blocks = np.stack([blocks(j, j) for j in range(n_nodes)])
         for j, node in enumerate(self._node_blocks):
             _check_mass(node[:m], lambda: f"at basis node j = {j}")
         self._cross_blocks = []
@@ -248,13 +327,15 @@ class AdaptiveRom(TransientSystem):
             if self._linear:
                 cross[3 * m] += model.cold_load(rows[j + 1], offsets[j])
             self._cross_blocks.append(cross)
+        self._cross_blocks = np.array(self._cross_blocks)
         # Under linear kinematics a step needs only the rows of its thermal
         # part; under full kinematics the rows and offsets of the weak form.
         if self._linear:
-            self._node_rows = [model.reduced_thermal_rows(r, u) for r, u in zip(rows, offsets)]
+            self._node_rows = np.stack([model.reduced_thermal_rows(r, u)
+                                        for r, u in zip(rows, offsets)])
         else:
             self._node_rows, self._node_offsets = rows, offsets
-        self._blocks = None
+        self._cell = None
 
     @property
     def ndof(self):
@@ -263,42 +344,86 @@ class AdaptiveRom(TransientSystem):
     def mass(self):
         return self._m_red
 
-    def begin_step(self, t_start, t_end):
-        j, w, theta = self._place(t_start, t_end)
-        self._cell = j, w
-        m = self.ndof
-        if w == 0.0:
-            blocks = self._node_blocks[j]
-        else:
-            blocks = ((1.0 - w) ** 2 * self._node_blocks[j]
-                      + (w * (1.0 - w)) * self._cross_blocks[j]
-                      + w**2 * self._node_blocks[j + 1])
-            _check_mass(blocks[:m], lambda: f"at t = {t_end:.6g} (cell j = {j}, "
-                                            f"w = {w:.6g}, x_c = {theta})", t_end)
-        if blocks is not self._blocks:
-            self._blocks = blocks
-            self._m_red, self._c_red, self._k_const = blocks[:3 * m].reshape(3, m, m)
-            self._coeffs = None
+    def _freeze(self, t_start, t_end):
+        """The time-only quantities of the steps ``(t_start, t_end)``, one
+        row per step: position, cell and weight, the blended operator
+        blocks and whether their mass failed its check, the frozen thermal
+        part of the force (linear kinematics) or the Gauss temperatures
+        (full kinematics), and the right-hand sides."""
+        m, count = self.ndof, t_end.size
+        tau, theta, cell, weight = self._place(t_start, t_end)
+        nxt = np.minimum(cell + 1, len(self._bases) - 1)
+        blended = weight != 0.0
+        blocks, singular = None, np.zeros(count, dtype=bool)
+        if blended.any():
+            # The blend in place; float_power squares with libm's pow, like
+            # Python's float **, where numpy's ** rounds some squares apart.
+            w = weight[:, None, None]
+            blocks = self._node_blocks[cell]
+            blocks *= np.float_power(1.0 - w, 2)
+            part = self._cross_blocks[cell]
+            part *= w * (1.0 - w)
+            blocks += part
+            np.take(self._node_blocks, nxt, axis=0, out=part, mode="clip")
+            part *= np.float_power(w, 2)
+            blocks += part
+            singular[blended] = _not_positive_definite(blocks[blended, :m])
+        block = SimpleNamespace(tau=tau, theta=theta, cell=cell, weight=weight, blocks=blocks,
+                                singular=singular, g=self._block_rhs(t_end, cell, nxt, weight))
         if self._linear:
             # The thermal rows hold three Gauss points per element; only
-            # those of the heated elements are blended.
-            elements, t_gauss = self.model.heated_elements(theta)
-            rows = self._blend(self._node_rows, slice(3 * elements.start, 3 * elements.stop))
-            self._kernel = self.model.reduced_thermal_linearization(
-                rows, t_gauss, blocks[3 * m], self._k_const)
+            # those of each step's heated window are blended.
+            first, t_heated = self.model.heated_elements(theta)
+            first = np.broadcast_to(first, (count,))
+            t_heated = np.broadcast_to(t_heated, (count,) + t_heated.shape[-2:])
+            points = 3 * first[:, None] + np.arange(3 * t_heated.shape[1])
+            rows = self._node_rows[cell[:, None], points]
+            if blended.any():
+                # (1 - w) rows_j + w rows_{j+1}, in place.
+                rows *= 1.0 - w
+                upper = self._node_rows[nxt[:, None], points]
+                upper *= w
+                rows += upper
+            cold = self._node_blocks[cell] if blocks is None else blocks
+            block.force, block.jacobian, block.thermal = self.model.reduced_thermal_linearization(
+                rows, t_heated, cold[:, 3 * m], cold[:, 2 * m:3 * m])
+        else:
+            block.t_gauss = np.broadcast_to(self.model.gauss_temperature(theta),
+                                            (count,) + self.model.x_gauss.shape)
+        return block
+
+    def begin_step(self, t_start, t_end):
+        block, row = self._row(t_start, t_end)
+        j, w = int(block.cell[row]), float(block.weight[row])
+        self._tau = None if block.tau is None else block.tau[row]
+        self._x_c = None if block.theta is None else block.theta[row]
+        if block.singular[row]:
+            raise IntegrationError(
+                f"reduced mass is not positive definite at t = {t_end:.6g} (cell j = {j}, "
+                f"w = {w:.6g}, x_c = {self._x_c})", time=t_end)
+        if (j, w) != self._cell:
+            self._cell = j, w
+            m = self.ndof
+            # A copy of a blended row, not a view that keeps the block.
+            operators = self._node_blocks[j] if w == 0.0 else block.blocks[row].copy()
+            self._m_red, self._c_red, self._k_const = operators[:3 * m].reshape(3, m, m)
+            self._coeffs = None
+        if self._linear:
+            self._f, self._jac, self._s_t = (block.force[row], block.jacobian[row],
+                                             block.thermal[row])
         else:
             self._kernel = self.model.reduced_linearization(
                 self._blend(self._node_rows), self._blend(self._node_offsets),
-                self.model.gauss_temperature(theta))
-        self._g = self._rhs(t_end)
+                block.t_gauss[row])
+        self._g = self._rhs(t_end) if block.g is None else block.g[row]
 
-    def _blend(self, node_arrays, points=slice(None)):
+    def _blend(self, node_arrays):
         """``(1 - w) X_j + w X_{j+1}`` at the step's cell and weight, from
-        the per-node arrays ``X``, restricted to ``X[points]``."""
+        the per-node arrays ``X``."""
         j, w = self._cell
-        out = node_arrays[j][points]
+        out = node_arrays[j]
         if w != 0.0:
-            out = (1.0 - w) * out + w * node_arrays[j + 1][points]
+            out = (1.0 - w) * out + w * node_arrays[j + 1]
         return out
 
     def residual(self, q, qd, qdd):
@@ -324,11 +449,26 @@ class AdaptiveRom(TransientSystem):
         return x
 
     def _place(self, t_start, t_end):
-        """Cell, blend weight and temperature parameter of the step: the
-        pulse position at the midpoint's slow phase."""
-        self._tau = self.tau_of_t(0.5 * (t_start + t_end))
-        self._x_c = self.xc_of_tau(self._tau)
-        return (*cell_weight(self.database, self._x_c), self._x_c)
+        """Slow phase, temperature parameter, cell and blend weight of each
+        step: the pulse position at the midpoint's slow phase."""
+        tau = _at_times(self.tau_of_t, 0.5 * (t_start + t_end))
+        x_c = _at_times(self.xc_of_tau, tau)
+        return (tau, x_c, *cell_weight(self.database, x_c))
+
+    def _block_rhs(self, t_end, cell, nxt, weight):
+        """Projected right-hand sides ``g`` of the steps ending at
+        ``t_end``: the loads, stacked, projected on each node basis of the
+        steps (one batched product per node, each row the product
+        ``V_j' p`` alone would give) and blended."""
+        loads = np.array([self.load(t) for t in t_end])[:, None, :]
+        steps = np.arange(len(t_end))
+        nodes, index = np.unique(np.concatenate([cell, nxt]), return_inverse=True)
+        projected = np.array([np.matmul(loads, self._bases[node])[:, 0] for node in nodes])
+        out = projected[index[:len(t_end)], steps]
+        if weight.any():
+            w = weight[:, None]
+            out = (1.0 - w) * out + w * projected[index[len(t_end):], steps]
+        return out
 
     def _project(self, vec):
         """``V'vec`` for the step's basis ``V = (1 - w) V_j + w V_{j+1}``,
@@ -339,25 +479,35 @@ class AdaptiveRom(TransientSystem):
             out = (1.0 - w) * out + w * (self._bases[j + 1].T @ vec)
         return out
 
-    def _rhs(self, t):
-        """Projected right-hand side ``g`` of the step ending at ``t``."""
-        return self._project(self.load(t))
-
     def _linearize(self, q):
         """Reduced force at ``q`` and a callable for the state-dependent part
         of the reduced tangent there (``K_const`` is the rest), which must
         not refer to ``self`` (see ``TransientSystem``)."""
+        if self._linear:
+            s_t = self._s_t
+            return self._f + self._jac @ q, lambda: s_t
         return self._kernel(q)
 
 
 def _check_mass(m_red, where, time=None):
     """The reduced mass must be positive definite for every frozen basis.
     The node masses are checked once, when a model is built; a blend of two
-    nodes can lose definiteness, so each blended step checks its own.
-    ``where()`` places the basis in the message."""
+    nodes can lose definiteness, so each blended step checks its own
+    (:func:`_not_positive_definite`). ``where()`` places the basis in the
+    message."""
     if dpotrf(m_red, lower=1)[1] > 0:
         raise IntegrationError(f"reduced mass is not positive definite {where()}",
                                time=time)
+
+
+def _not_positive_definite(masses):
+    """Per matrix of a stack, whether LAPACK ``potrf`` finds it not
+    positive definite: one batched Cholesky when it finds none."""
+    try:
+        np.linalg.cholesky(masses)
+        return False
+    except np.linalg.LinAlgError:
+        return [dpotrf(m_red, lower=1)[1] > 0 for m_red in masses]
 
 
 class ConstantBasisRom(AdaptiveRom):
@@ -376,7 +526,8 @@ class ConstantBasisRom(AdaptiveRom):
         self._build(model, [basis], [u_ref])
 
     def _place(self, t_start, t_end):
-        return 0, 0.0, self.theta_of_t(t_end)
+        zero = np.zeros(t_end.size, dtype=int)
+        return None, _at_times(self.theta_of_t, t_end), zero, zero.astype(float)
 
 
 class CorrectionRom(AdaptiveRom):
@@ -387,21 +538,30 @@ class CorrectionRom(AdaptiveRom):
     ``q0_of_t(t) -> (q0, q0dot)`` and the analytic epsilon-derivative of the
     load ``eps_load(t)``. The stiffness is the reduced tangent at the
     leading-order state ``q0``, so the operators are time dependent but
-    state independent; initial conditions are identically zero.
+    state independent; initial conditions are identically zero. Its blocks
+    freeze what the leading model's do except the right-hand side, which
+    is frozen per step (:meth:`_rhs`).
     """
 
     def __init__(self, leading, q0_of_t, nu, eps_load=None, dxc_dtau=None):
-        # The leading model's database, slow maps and operators, by reference.
+        # The leading model's database, slow maps and operators, by
+        # reference; not its plan and frozen block.
         vars(self).update(vars(leading))
+        self.plan_steps((), ())
         self.q0_of_t = q0_of_t
         self.nu = float(nu)
         model = leading.model
         self.load = eps_load or (lambda t: np.zeros(model.dof_count))
         self.dxc_dtau = dxc_dtau or (lambda tau: 0.0)
 
+    def _block_rhs(self, t_end, cell, nxt, weight):
+        # The right-hand side needs q0(t) and is frozen per step, by _rhs.
+        return None
+
     def _rhs(self, t):
         """Freeze the tangent ``K0`` at ``q0(t)``, as its state-dependent
-        part and in whole, and return the projected slow-coupling force."""
+        part and in whole, and return the projected slow-coupling force of
+        the step ending at ``t``."""
         q0, q0d = self.q0_of_t(t)
         self._s0 = super()._linearize(q0)[1]()
         self._k0 = self._k_const + self._s0

@@ -471,16 +471,19 @@ def run_method(scn, method):
 # result bundling and persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
+    """A CSV file of equal-length columns, each value as ``%.17g``, which
+    round-trips every float64. Each run of up to 512 rows is one ``%``
+    format of a repeated row; formatting a whole file at once would hold
+    its text and a Python float per value at the end of a run, when the
+    process holds the most."""
+    values = np.column_stack(columns)
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for start in range(0, len(values), 512):
+            chunk = values[start:start + 512]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _method_errors(reference, result, probe_dofs):

@@ -6,6 +6,7 @@ import pytest
 
 from thermrom import basisdb, spectral
 from thermrom.basisdb import (
+    BasisDatabase,
     build_database,
     cell_weight,
     congruent_align,
@@ -22,7 +23,7 @@ from thermrom.basisdb import (
 from thermrom.beam import BeamModel, BeamProperties, TemperaturePulse
 from thermrom.cli import main
 from thermrom.errors import AlignmentError, ContractError, SolverError
-from thermrom.spectral import solve_equilibrium
+from thermrom.spectral import LocalBasis, solve_equilibrium
 
 
 def random_orthonormal(n, m, rng):
@@ -338,6 +339,18 @@ def test_database_roundtrip_bitexact(tmp_path, db_curved_small):
         assert a.frequencies.tobytes() == b.frequencies.tobytes()
 
 
+def test_square_symmetric_bases_round_trip(tmp_path):
+    # mmwrite keeps one triangle of a square symmetric or skew-symmetric
+    # matrix; such bases load back too
+    bases = [np.eye(2), np.array([[0.6, 0.8], [0.8, -0.6]]), np.array([[0.0, -1.0], [1.0, 0.0]])]
+    db = BasisDatabase(grid=[0.02, 0.05, 0.08], reference_index=1, kind="vm-only", entries=[
+        LocalBasis(x_c=x, u_eq=np.array([1e-5, -2e-5]), frequencies=np.array([1.0, 2.0]),
+                   matrix=v) for x, v in zip([0.02, 0.05, 0.08], bases)])
+    save_database(db, tmp_path / "db")
+    for a, b in zip(db.entries, load_database(tmp_path / "db").entries):
+        assert np.array_equal(a.matrix, b.matrix) and a.u_eq.tobytes() == b.u_eq.tobytes()
+
+
 def test_database_save_deterministic(tmp_path, db_curved_small):
     save_database(db_curved_small, tmp_path / "a")
     save_database(db_curved_small, tmp_path / "b")
@@ -350,8 +363,8 @@ def test_database_save_deterministic(tmp_path, db_curved_small):
 def test_failed_save_leaves_no_mix_of_two_databases(tmp_path, monkeypatch):
     # a save that fails part way over an older database in the same
     # directory leaves a directory that does not load, not one that loads
-    # entries of both; a save that completes loads back (mmread reads the
-    # straight beam's -0.0 entries as +0.0, so the values are compared)
+    # entries of both; a save that completes loads back bit for bit, the
+    # straight beam's -0.0 entries included
     props = BeamProperties(n_elements=8)
     old_db, new_db = (build_database(BeamModel(props, TemperaturePulse(height, 0.02)),
                                      default_grid(0.1, 5), k=3)
@@ -375,10 +388,11 @@ def test_failed_save_leaves_no_mix_of_two_databases(tmp_path, monkeypatch):
     monkeypatch.setattr(basisdb, "mmwrite", mmwrite)
     save_database(new_db, path)
     back = load_database(path)
-    assert np.array_equal(back.grid, new_db.grid)
+    assert any(np.signbit(e.matrix[e.matrix == 0.0]).any() for e in new_db.entries)
+    assert back.grid.tobytes() == new_db.grid.tobytes()
     for a, b in zip(new_db.entries, back.entries):
-        assert np.array_equal(a.matrix, b.matrix)
-        assert np.array_equal(a.u_eq, b.u_eq)
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.u_eq.tobytes() == b.u_eq.tobytes()
 
 
 def _drop_grid(path):

@@ -82,6 +82,20 @@ def test_smoke_probe_csv_time_axis(smoke_bundle):
     assert t_last == pytest.approx(2.0 * np.pi * cfg.cycles, rel=1e-9)
 
 
+def test_csv_values_are_those_of_a_per_value_format(tmp_path, rng):
+    # the writer, one format per run of rows, gives the bytes of formatting
+    # each value with %.17g alone: signed zeros, nan, infinities,
+    # denormals, the float extremes, and floats whose shortest form has 17
+    # digits, over more rows than one run holds
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16]
+    columns = (np.array(special + list(rng.standard_normal(1100))),
+               np.array(special[::-1] + list(1e-300 * rng.standard_normal(1100))))
+    scenarios._write_csv(tmp_path / "x.csv", ("a", "b"), columns)
+    expect = "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(*columns))
+    assert (tmp_path / "x.csv").read_bytes() == expect.encode()
+
+
 def test_hfm_error_against_itself_is_zero(smoke_bundle):
     cfg, bundle, out = smoke_bundle
     ref = bundle.results["hfm"].displacement

@@ -234,20 +234,24 @@ def test_singular_iteration_matrix_is_a_linalg_error(beam_curved_nl):
 class _NanTangentBeam(BeamModel):
     """A beam whose tangent has one NaN entry once the pulse is past 0.05."""
 
-    def linearization(self, theta):
-        linearize = super().linearization(theta)
+    def linearizations(self, thetas):
+        at = super().linearizations(thetas)
 
-        def poisoned(u):
-            f, tangent = linearize(u)
-            if theta <= 0.05:
-                return f, tangent
+        def poisoned_at(i):
+            linearize = at(i)
+            if thetas[i] <= 0.05:
+                return linearize
 
-            def nan_tangent():
-                k = tangent()
-                k[self.half_bandwidth, 7] = np.nan
-                return k
-            return f, nan_tangent
-        return poisoned
+            def poisoned(u):
+                f, tangent = linearize(u)
+
+                def nan_tangent():
+                    k = tangent()
+                    k[self.half_bandwidth, 7] = np.nan
+                    return k
+                return f, nan_tangent
+            return poisoned
+        return poisoned_at
 
 
 def test_nan_tangent_is_an_integration_error(beam_curved_nl):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from thermrom import beam, kernels
+from thermrom import beam, kernels, rom
 from thermrom.basisdb import BasisDatabase, build_database, default_grid, interpolate_basis
 from thermrom.errors import ContractError, IntegrationError
 from thermrom.newmark import newmark_integrate
@@ -427,8 +427,9 @@ def test_one_weak_form_per_residual(beams_and_dbs, monkeypatch):
     # each Newton iterate evaluates the weak form once, in its residual; the
     # iteration matrix reuses it. Under linear kinematics the force is
     # K u + b from the cold operators and the thermal part: neither the full
-    # nor a reduced model evaluates a weak form. The Gauss temperatures are
-    # evaluated once per step, in begin_step.
+    # nor a reduced model evaluates a weak form. The Gauss temperatures of
+    # the run's six begin_step calls are evaluated at once, in the first:
+    # they are one block of planned steps.
     count = {"residual": 0, "weak_form": 0, "temperature": 0}
 
     def counted(name, fn):
@@ -454,7 +455,7 @@ def test_one_weak_form_per_residual(beams_and_dbs, monkeypatch):
                 assert count["weak_form"] == 0 < count["residual"], where
             else:
                 assert count["weak_form"] == count["residual"], where
-            assert count["temperature"] == 6, where
+            assert count["temperature"] == 1, where
 
 
 def test_systems_are_freed_without_the_cycle_collector(beams_and_dbs):
@@ -506,6 +507,111 @@ def test_linear_residual_after_the_tangent_is_the_direct_one(beams_and_dbs, kine
             expect = basis.T @ (mass @ (basis @ qdd) + damping @ (basis @ qd)
                                 + model.internal_force(origin + basis @ q, x_c) - g)
             _close(system.residual(q, qd, qdd), expect)
+
+
+# -- frozen blocks of steps ---------------------------------------------------------
+
+def _sweep_systems(model, db, n_steps):
+    """The four systems on one beam and database, with the pulse swept from
+    past the beam start (clamped below the grid, its window crossing the
+    start) to past the beam end over ``n_steps`` steps, each with its
+    initial state, and the step."""
+    entry = db.entries[3]
+    omega = 0.7 * entry.frequencies[0]
+    dt = (2.0 * np.pi / omega) / 40.0
+    duration = n_steps * dt
+    l_vec = model.uniform_transverse_load(2e2)
+    m = db.m
+
+    def x_c(t):
+        return -0.01 + (L + 0.02) * t / duration
+
+    def load(t):
+        return l_vec * np.sin(omega * t)
+
+    def adaptive():
+        return AdaptiveRom(model, db, tau_of_t=lambda t: np.pi * t / duration - 0.5 * np.pi,
+                           xc_of_tau=lambda tau: 0.5 * L + (0.5 * L + 0.01) * np.sin(tau),
+                           load=load)
+
+    def q0_of_t(t):
+        return 1e-4 * np.sin(omega * t) * np.ones(m), 1e-4 * omega * np.cos(omega * t) * np.ones(m)
+
+    return {
+        "full": (lambda: FullSystem(model, theta_of_t=x_c, load=load), entry.u_eq),
+        "adaptive": (adaptive, np.zeros(m)),
+        "constant": (lambda: ConstantBasisRom(model, entry.matrix, theta_of_t=x_c, load=load,
+                                              u_ref=entry.u_eq), np.zeros(m)),
+        "correction": (lambda: CorrectionRom(adaptive(), q0_of_t=q0_of_t, nu=omega,
+                                             eps_load=load, dxc_dtau=lambda tau: np.cos(tau)),
+                       np.zeros(m)),
+    }, dt
+
+
+@pytest.mark.parametrize("kinematics", ["curved-nonlinear", "straight-linear", "curved-linear"])
+def test_frozen_blocks_equal_one_interval_at_a_time(beams_and_dbs, kinematics):
+    # an integrated run, whose begin_step reads rows frozen for blocks of
+    # planned steps, equals, bit for bit, a run whose every begin_step is
+    # off the plan and freezes its one interval: over a run of two blocks
+    # and a partial third, with the pulse window crossing both beam ends
+    # and the basis clamped at both grid ends
+    model, db = beams_and_dbs[kinematics]
+    n_steps = 2 * rom.BLOCK_STEPS + 5
+    systems, dt = _sweep_systems(model, db, n_steps)
+    for name, (make, u0) in systems.items():
+        planned = newmark_integrate(make(), u0, np.zeros_like(u0), dt, n_steps)
+        system = make()
+        system.plan_steps = lambda t_start, t_end: None
+        alone = newmark_integrate(system, u0, np.zeros_like(u0), dt, n_steps)
+        assert planned.newton_iterations[1:].min() >= 1, (kinematics, name)
+        for field in ("displacement", "velocity", "acceleration", "newton_iterations"):
+            got, expect = getattr(planned, field), getattr(alone, field)
+            assert got.tobytes() == expect.tobytes(), (kinematics, name, field)
+
+
+@pytest.mark.parametrize("kinematics", ["curved-nonlinear", "straight-linear"])
+def test_block_temperatures_are_those_of_each_position(beams_and_dbs, kinematics, rng):
+    # the heated windows and Gauss temperatures of an array of positions are
+    # those of each position alone, bit for bit, also where the window
+    # crosses a beam end or lies off the span; every heated point lies in
+    # its window
+    model = beams_and_dbs[kinematics][0]
+    width = model.pulse.width
+    # window edges on every Gauss point, where the window holds most elements
+    edges = model.x_gauss.ravel()
+    positions = np.concatenate([[-L, -0.5 * width, 0.0, 0.3 * width, L - 0.3 * width, L,
+                                 L + 0.5 * width, 2 * L], rng.uniform(-0.01, L + 0.01, 40),
+                                edges + 0.5 * width, edges - 0.5 * width])
+    first, heated = model.heated_elements(positions)
+    t_all = model.gauss_temperature(positions)
+    for i, x_c in enumerate(positions):
+        alone_first, alone = model.heated_elements(x_c)
+        expect = model.gauss_temperature(x_c)
+        assert first[i] == alone_first and heated[i].tobytes() == alone.tobytes(), x_c
+        assert t_all[i].tobytes() == expect.tobytes(), x_c
+        window = np.arange(first[i], first[i] + len(alone))
+        assert heated[i].tobytes() == expect[window].tobytes(), x_c
+        assert not np.delete(expect, window, axis=0).any(), x_c
+
+
+def test_singular_blended_mass_in_a_block_raises_at_its_step(beam_curved_nl, db_nl):
+    # a step whose blended reduced mass is singular, in the middle of a
+    # block, raises at its own begin_step, with its t_end and cell: the
+    # steps before it, frozen in the same block, integrate
+    entry = db_nl.entries[3]
+    db = BasisDatabase(grid=[0.03, 0.07], reference_index=0, kind=entry.kind, entries=[
+        dataclasses.replace(entry, matrix=entry.matrix),
+        dataclasses.replace(entry, matrix=-entry.matrix),
+    ])
+    dt, bad = 1e-6, rom.BLOCK_STEPS + 10
+    # from step `bad` on the step midpoint puts the pulse at mid cell
+    rom_ = AdaptiveRom(beam_curved_nl, db, tau_of_t=lambda t: t,
+                       xc_of_tau=lambda tau: np.where(tau < (bad - 1) * dt, 0.04, 0.05))
+    zero = np.zeros(db.m)
+    with pytest.raises(IntegrationError, match=r"cell j = 0, w = 0\.5") as info:
+        newmark_integrate(rom_, zero, zero, dt, 2 * rom.BLOCK_STEPS)
+    assert info.value.time == dt * bad
+    assert "x_c = 0.05" in str(info.value)
 
 
 # -- slow correction ----------------------------------------------------------------
