@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread, mmwrite
+from scipy.io import mmwrite
 
 from .errors import AlignmentError, ContractError
 from .spectral import LocalBasis, build_local_basis
@@ -344,8 +344,8 @@ def save_database(db, directory):
     for j, entry in enumerate(db.entries):
         edir = directory / f"entry_{j:02d}"
         edir.mkdir(exist_ok=True)
-        mmwrite(str(edir / "basis.mtx"), entry.matrix, precision=17)
-        mmwrite(str(edir / "u_eq.mtx"), entry.u_eq[:, None], precision=17)
+        mmwrite(str(edir / "basis.mtx"), entry.matrix, precision=17, symmetry="general")
+        mmwrite(str(edir / "u_eq.mtx"), entry.u_eq[:, None], precision=17, symmetry="general")
         (edir / "frequencies.txt").write_text(
             "\n".join(_fmt(w) for w in entry.frequencies) + "\n"
         )
@@ -357,14 +357,14 @@ def _floats(text):
 
 
 def _read_matrix(path):
-    """A dense real matrix from a Matrix Market array file written by
-    ``mmwrite``: the values in column order after the header, comments and
-    shape. numpy's parse keeps the sign of a zero, which ``mmread`` drops.
-    ``mmwrite`` stores a square (skew-)symmetric matrix as one triangle;
-    such a file is left to ``mmread``."""
+    """A dense real matrix from a Matrix Market array file that ``mmwrite``
+    wrote with ``symmetry="general"``: the values in column order after the
+    header, comments and shape. numpy's parse keeps the sign of a zero,
+    which ``mmread`` drops. Any other header is a ``ValueError``."""
     with open(path) as fh:
-        if fh.readline().split() != ["%%MatrixMarket", "matrix", "array", "real", "general"]:
-            return np.asarray(mmread(str(path)))
+        header = fh.readline().split()
+        if header != ["%%MatrixMarket", "matrix", "array", "real", "general"]:
+            raise ValueError(f"not a general real array: {' '.join(header)}")
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()

@@ -340,17 +340,14 @@ def _element_tangent(tables, gmat, ngeo, ea, ei):
     )).sum(axis=1)
 
 
-def _add_element_blocks(out, index, blocks, start=0):
-    """Add the blocks of the elements ``start, start + 1, ...`` into
-    ``out`` at the flat positions ``index`` of :func:`_scatter_index`: even
-    elements, then odd elements, so every entry sums its contributions in
-    the order a whole mesh would. The positions of one pass are distinct,
-    so each pass is one fancy add."""
+def _add_element_blocks(out, index, blocks):
+    """Add the blocks of every element into ``out`` at the flat positions
+    ``index`` of :func:`_scatter_index`: even elements, then odd elements.
+    The positions of one pass are distinct, so each pass is one fancy
+    add."""
     flat = out.reshape(-1)
     for parity, part in enumerate(index):
-        mine = blocks[(parity - start) % 2::2]
-        first = (start + 1 - parity) // 2
-        flat[part[first:first + len(mine)]] += mine
+        flat[part] += blocks[parity::2]
     return out
 
 

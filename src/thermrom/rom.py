@@ -317,8 +317,9 @@ class AdaptiveRom(_BlockFrozen):
         # under linear kinematics the cold force below them: per node, and
         # per cell the symmetrized cross term.
         self._node_blocks = np.stack([blocks(j, j) for j in range(n_nodes)])
-        for j, node in enumerate(self._node_blocks):
-            _check_mass(node[:m], lambda: f"at basis node j = {j}")
+        singular = np.flatnonzero(_not_positive_definite(self._node_blocks[:, :m]))
+        if singular.size:
+            raise _mass_error(f"at basis node j = {singular[0]}")
         self._cross_blocks = []
         for j in range(n_nodes - 1):
             cross = blocks(j, j + 1)
@@ -398,9 +399,8 @@ class AdaptiveRom(_BlockFrozen):
         self._tau = None if block.tau is None else block.tau[row]
         self._x_c = None if block.theta is None else block.theta[row]
         if block.singular[row]:
-            raise IntegrationError(
-                f"reduced mass is not positive definite at t = {t_end:.6g} (cell j = {j}, "
-                f"w = {w:.6g}, x_c = {self._x_c})", time=t_end)
+            raise _mass_error(f"at t = {t_end:.6g} (cell j = {j}, w = {w:.6g}, "
+                              f"x_c = {self._x_c})", time=t_end)
         if (j, w) != self._cell:
             self._cell = j, w
             m = self.ndof
@@ -489,25 +489,23 @@ class AdaptiveRom(_BlockFrozen):
         return self._kernel(q)
 
 
-def _check_mass(m_red, where, time=None):
-    """The reduced mass must be positive definite for every frozen basis.
-    The node masses are checked once, when a model is built; a blend of two
-    nodes can lose definiteness, so each blended step checks its own
-    (:func:`_not_positive_definite`). ``where()`` places the basis in the
-    message."""
-    if dpotrf(m_red, lower=1)[1] > 0:
-        raise IntegrationError(f"reduced mass is not positive definite {where()}",
-                               time=time)
-
-
 def _not_positive_definite(masses):
     """Per matrix of a stack, whether LAPACK ``potrf`` finds it not
-    positive definite: one batched Cholesky when it finds none."""
+    positive definite: one batched Cholesky when it finds none. The reduced
+    mass must be positive definite for every frozen basis: the node masses
+    are checked once, when a model is built, and a blend of two nodes can
+    lose definiteness, so each block of steps checks its blended masses."""
     try:
         np.linalg.cholesky(masses)
-        return False
+        return np.zeros(len(masses), dtype=bool)
     except np.linalg.LinAlgError:
-        return [dpotrf(m_red, lower=1)[1] > 0 for m_red in masses]
+        return np.array([dpotrf(m_red, lower=1)[1] > 0 for m_red in masses])
+
+
+def _mass_error(where, time=None):
+    """The error for a reduced mass that is not positive definite;
+    ``where`` places the basis."""
+    return IntegrationError(f"reduced mass is not positive definite {where}", time=time)
 
 
 class ConstantBasisRom(AdaptiveRom):

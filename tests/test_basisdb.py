@@ -340,15 +340,21 @@ def test_database_roundtrip_bitexact(tmp_path, db_curved_small):
 
 
 def test_square_symmetric_bases_round_trip(tmp_path):
-    # mmwrite keeps one triangle of a square symmetric or skew-symmetric
-    # matrix; such bases load back too
-    bases = [np.eye(2), np.array([[0.6, 0.8], [0.8, -0.6]]), np.array([[0.0, -1.0], [1.0, 0.0]])]
+    # square symmetric and skew-symmetric bases are stored in full, not as
+    # one triangle, so they load back bit for bit, signed zeros included;
+    # a file in any other layout is refused
+    bases = [np.array([[1.0, -0.0], [-0.0, 1.0]]), np.array([[0.6, 0.8], [0.8, -0.6]]),
+             np.array([[0.0, -1.0], [1.0, 0.0]])]
     db = BasisDatabase(grid=[0.02, 0.05, 0.08], reference_index=1, kind="vm-only", entries=[
         LocalBasis(x_c=x, u_eq=np.array([1e-5, -2e-5]), frequencies=np.array([1.0, 2.0]),
                    matrix=v) for x, v in zip([0.02, 0.05, 0.08], bases)])
     save_database(db, tmp_path / "db")
     for a, b in zip(db.entries, load_database(tmp_path / "db").entries):
-        assert np.array_equal(a.matrix, b.matrix) and a.u_eq.tobytes() == b.u_eq.tobytes()
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.u_eq.tobytes() == b.u_eq.tobytes()
+    path = tmp_path / "db" / "entry_00" / "basis.mtx"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n2 2\n1\n0\n1\n")
+    with pytest.raises(ContractError, match="not a general real array"):
+        load_database(tmp_path / "db")
 
 
 def test_database_save_deterministic(tmp_path, db_curved_small):
