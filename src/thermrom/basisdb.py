@@ -25,6 +25,7 @@ __all__ = [
     "default_grid",
     "build_database",
     "cell_weight",
+    "chain_blend",
     "interpolate_basis",
     "slow_basis_derivative",
     "stack_columns",
@@ -217,6 +218,23 @@ def cell_weight(db, x_c):
     return (int(j), float(w)) if x.ndim == 0 else (j, w)
 
 
+def chain_blend(lower, upper, w, overwrite=False):
+    """The chain's one interpolation rule, ``(1 - w) X_j + w X_{j+1}``, of
+    the node arrays ``lower = X_j`` and ``upper = X_{j+1}`` with a weight
+    ``w`` of :func:`cell_weight`, or an array of weights that broadcasts
+    against them; where every weight is 0, ``X_j`` itself. With
+    ``overwrite``, for a caller's scratch arrays, the blend is formed in
+    ``lower`` and ``upper`` is scaled in place."""
+    if not (w.any() if isinstance(w, np.ndarray) else w):
+        return lower
+    if not overwrite:
+        return (1.0 - w) * lower + w * upper
+    lower *= 1.0 - w
+    upper *= w
+    lower += upper
+    return lower
+
+
 def interpolate_basis(db, x_c):
     """Entrywise piecewise-linear interpolation of the basis and equilibrium.
 
@@ -227,16 +245,11 @@ def interpolate_basis(db, x_c):
     if not db.aligned:
         raise ContractError("cannot interpolate a raw (unaligned) database")
     j, w = cell_weight(db, x_c)
-    if w == 0.0:
-        v = db.entries[j].matrix.copy()
-        u = db.entries[j].u_eq.copy()
-    elif w == 1.0:
-        v = db.entries[j + 1].matrix.copy()
-        u = db.entries[j + 1].u_eq.copy()
-    else:
-        v = (1.0 - w) * db.entries[j].matrix + w * db.entries[j + 1].matrix
-        u = (1.0 - w) * db.entries[j].u_eq + w * db.entries[j + 1].u_eq
-    return v, u
+    if w == 1.0:
+        j, w = j + 1, 0.0  # the last node
+    lower, upper = db.entries[j], db.entries[min(j + 1, len(db) - 1)]
+    v, u = chain_blend(lower.matrix, upper.matrix, w), chain_blend(lower.u_eq, upper.u_eq, w)
+    return (v.copy(), u.copy()) if w == 0.0 else (v, u)
 
 
 def slow_basis_derivative(db, x_c, delta=None):
@@ -244,13 +257,15 @@ def slow_basis_derivative(db, x_c, delta=None):
     equilibrium with respect to the pulse-center position.
 
     Inside a grid cell this equals the exact piecewise-constant slope of the
-    linear interpolation. A single-entry database has zero derivative.
+    linear interpolation, and on an end node the one-sided slope. Off the
+    grid the clamped basis does not move: the derivative is zero there, as
+    for a single-entry database.
     """
-    if len(db) == 1:
+    grid = db.grid
+    x = float(x_c)
+    if len(db) == 1 or not grid[0] <= x <= grid[-1]:
         e = db.entries[0]
         return np.zeros_like(e.matrix), np.zeros_like(e.u_eq)
-    grid = db.grid
-    x = min(max(float(x_c), grid[0]), grid[-1])
     if delta is None:
         j, _ = cell_weight(db, x)
         delta = 0.5 * (grid[j + 1] - grid[j])

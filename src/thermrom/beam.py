@@ -345,9 +345,6 @@ class BeamModel(SecondOrderModel):
     def half_bandwidth(self) -> int:
         return kernels.HALF_BANDWIDTH
 
-    def linearization(self, theta):
-        return self.linearizations([theta])(0)
-
     def linearizations(self, thetas):
         # The Gauss-point temperatures of all thetas are evaluated here, in
         # one pass.

@@ -77,29 +77,24 @@ class SecondOrderModel(ABC):
         tangent; the default treats them as dense."""
         return self.dof_count - 1
 
-    def linearization(self, theta):
-        """``u -> (f, tangent)`` at a frozen ``theta``: the internal force at
-        ``u`` and a callable that returns :meth:`tangent_stiffness` there in
-        LAPACK band storage of half-bandwidth ``p = half_bandwidth``,
-        ``ab[p + i - j, j] = K[i, j]`` (see :mod:`thermrom.kernels`). Callers
-        read the band and do not modify it. Override when the tangent can
-        reuse what the force evaluated, or, for a force affine in ``u``
-        (``K u + b``), to answer every state from ``K`` and ``b`` built once
-        per ``theta``."""
-        def linearize(u):
-            u = np.array(u, dtype=float)  # the caller may update its state in place
-            return self.internal_force(u, theta), lambda: dense_to_band(
-                self.tangent_stiffness(u, theta), self.half_bandwidth)
-        return linearize
-
     def linearizations(self, thetas):
-        """The :meth:`linearization` of each temperature of a run of steps:
-        returns ``at(i)``, which gives that of ``thetas[i]`` (all None for a
-        cold model). A step's linearization is used until ``at`` is called
+        """``at(i)``: the linearization ``u -> (f, tangent)`` at ``thetas[i]``
+        of a run of steps (all None for a cold model), the tangent a
+        callable that returns :meth:`tangent_stiffness` at ``u`` in LAPACK
+        band storage of half-bandwidth ``p = half_bandwidth``, ``ab[p + i -
+        j, j] = K[i, j]`` (see :mod:`thermrom.kernels`), which callers do
+        not modify. A step's linearization is used until ``at`` is called
         for the next one, so an override may build what depends on the
-        temperatures for all of them at once and let the linearizations
-        share workspaces."""
-        return [self.linearization(theta) for theta in thetas].__getitem__
+        temperatures for all steps at once and share workspaces."""
+        def at(i):
+            theta = thetas[i]
+
+            def linearize(u):
+                u = np.array(u, dtype=float)  # the caller may update its state in place
+                return self.internal_force(u, theta), lambda: dense_to_band(
+                    self.tangent_stiffness(u, theta), self.half_bandwidth)
+            return linearize
+        return at
 
     @property
     def characteristic_length(self) -> float:

@@ -54,10 +54,12 @@ block it was frozen in. Per block and step the reduced models freeze the
 pulse position, the cell and weight from :func:`basisdb.cell_weight`
 (which :func:`basisdb.interpolate_basis` and the batched reconstruction
 use too), the blended blocks with the check of the blended mass, and the
-right-hand side: the block's loads, stacked, projected on the node bases
-``V_j``, ``V_{j+1}`` and blended as m-vectors; the n x m basis itself is
-never blended online. Nothing frozen is sized by the number of steps
-times ``n``.
+right-hand side: the block's forces (the loads, or the correction's slow
+coupling at each step's ``q0``), stacked, projected on the node bases
+``V_j``, ``V_{j+1}`` and blended as m-vectors by
+:func:`basisdb.chain_blend`, the one blend of node arrays; the n x m basis
+itself is never blended online. Nothing frozen is sized by the number of
+steps times ``n``.
 
 - Under full kinematics the block holds the Gauss temperatures of each
   step, and ``begin_step`` blends the rows and offsets of its step; each
@@ -71,8 +73,8 @@ times ``n``.
   (:meth:`BeamModel.reduced_thermal_linearization`). No weak form is
   evaluated, and every residual of the step is ``f + J q``.
 
-The slow correction keeps its right-hand side per step, as it needs the
-leading-order state of the step.
+Per step, the slow correction evaluates only its tangent ``K0`` at the
+step's frozen ``q0``, with the step's kernel.
 
 Every ``residual`` keeps the tangent callable of its state, and
 ``iteration_matrix`` builds the tangent from it; the full model's comes from
@@ -100,7 +102,8 @@ from scipy.linalg.lapack import dgbsv, dgesv, dpotrf
 
 # interpolate_basis is not called here; it stays importable as
 # rom.interpolate_basis, the name perfbench/layers.py traces.
-from .basisdb import cell_weight, interpolate_basis, slow_basis_derivative  # noqa: F401
+from .basisdb import (  # noqa: F401
+    cell_weight, chain_blend, interpolate_basis, slow_basis_derivative)
 from .errors import IntegrationError
 from .kernels import dense_to_band
 from .newmark import TransientSystem
@@ -283,9 +286,11 @@ class AdaptiveRom(_BlockFrozen):
     :meth:`_freeze` blends them for each step's position in the chain,
     checks the blended masses, and freezes what else depends on time alone
     (see the module docstring); ``begin_step`` reads the step's row.
-    Subclasses choose the positions (:meth:`_place`), the right-hand sides
-    (:meth:`_block_rhs`) and the reduced force with the callable for its
-    state-dependent tangent (:meth:`_linearize`).
+    Subclasses choose the positions (:meth:`_place`), the forces of the
+    right-hand sides (:meth:`_block_forces`) and the reduced force of a step
+    (:meth:`_freeze_force`) with the callable for its state-dependent
+    tangent (:meth:`_linearize`), not ``begin_step``: the benchmark's
+    tracer books a step per class that defines it.
     """
 
     def __init__(self, model, database, tau_of_t, xc_of_tau, load=None):
@@ -370,7 +375,15 @@ class AdaptiveRom(_BlockFrozen):
             blocks += part
             singular[blended] = _not_positive_definite(blocks[blended, :m])
         block = SimpleNamespace(tau=tau, theta=theta, cell=cell, weight=weight, blocks=blocks,
-                                singular=singular, g=self._block_rhs(t_end, cell, nxt, weight))
+                                singular=singular)
+        # The forces projected on each node basis of the block in one batched
+        # product per node (each row the bits of V_j' f alone) and blended.
+        forces = self._block_forces(block, t_end)[:, None, :]
+        nodes, index = np.unique(np.concatenate([cell, nxt]), return_inverse=True)
+        projected = np.array([np.matmul(forces, self._bases[node])[:, 0] for node in nodes])
+        steps = np.arange(count)
+        block.g = chain_blend(projected[index[:count], steps], projected[index[count:], steps],
+                              weight[:, None])
         if self._linear:
             # The thermal rows hold three Gauss points per element; only
             # those of each step's heated window are blended.
@@ -380,11 +393,8 @@ class AdaptiveRom(_BlockFrozen):
             points = 3 * first[:, None] + np.arange(3 * t_heated.shape[1])
             rows = self._node_rows[cell[:, None], points]
             if blended.any():
-                # (1 - w) rows_j + w rows_{j+1}, in place.
-                rows *= 1.0 - w
-                upper = self._node_rows[nxt[:, None], points]
-                upper *= w
-                rows += upper
+                rows = chain_blend(rows, self._node_rows[nxt[:, None], points], w,
+                                   overwrite=True)
             cold = self._node_blocks[cell] if blocks is None else blocks
             block.force, block.jacobian, block.thermal = self.model.reduced_thermal_linearization(
                 rows, t_heated, cold[:, 3 * m], cold[:, 2 * m:3 * m])
@@ -396,11 +406,9 @@ class AdaptiveRom(_BlockFrozen):
     def begin_step(self, t_start, t_end):
         block, row = self._row(t_start, t_end)
         j, w = int(block.cell[row]), float(block.weight[row])
-        self._tau = None if block.tau is None else block.tau[row]
-        self._x_c = None if block.theta is None else block.theta[row]
         if block.singular[row]:
             raise _mass_error(f"at t = {t_end:.6g} (cell j = {j}, w = {w:.6g}, "
-                              f"x_c = {self._x_c})", time=t_end)
+                              f"x_c = {block.theta[row]})", time=t_end)
         if (j, w) != self._cell:
             self._cell = j, w
             m = self.ndof
@@ -408,23 +416,21 @@ class AdaptiveRom(_BlockFrozen):
             operators = self._node_blocks[j] if w == 0.0 else block.blocks[row].copy()
             self._m_red, self._c_red, self._k_const = operators[:3 * m].reshape(3, m, m)
             self._coeffs = None
+        self._freeze_force(block, row)
+        self._g = block.g[row]
+
+    def _freeze_force(self, block, row):
+        """Freeze the reduced force of the step in ``row`` of ``block``: the
+        frozen thermal part, or the weak form on the blended rows."""
         if self._linear:
             self._f, self._jac, self._s_t = (block.force[row], block.jacobian[row],
                                              block.thermal[row])
         else:
+            (j, w), rows, offsets = self._cell, self._node_rows, self._node_offsets
+            k = min(j + 1, len(rows) - 1)
             self._kernel = self.model.reduced_linearization(
-                self._blend(self._node_rows), self._blend(self._node_offsets),
+                chain_blend(rows[j], rows[k], w), chain_blend(offsets[j], offsets[k], w),
                 block.t_gauss[row])
-        self._g = self._rhs(t_end) if block.g is None else block.g[row]
-
-    def _blend(self, node_arrays):
-        """``(1 - w) X_j + w X_{j+1}`` at the step's cell and weight, from
-        the per-node arrays ``X``."""
-        j, w = self._cell
-        out = node_arrays[j]
-        if w != 0.0:
-            out = (1.0 - w) * out + w * node_arrays[j + 1]
-        return out
 
     def residual(self, q, qd, qdd):
         f, self._tangent = self._linearize(q)
@@ -455,29 +461,10 @@ class AdaptiveRom(_BlockFrozen):
         x_c = _at_times(self.xc_of_tau, tau)
         return (tau, x_c, *cell_weight(self.database, x_c))
 
-    def _block_rhs(self, t_end, cell, nxt, weight):
-        """Projected right-hand sides ``g`` of the steps ending at
-        ``t_end``: the loads, stacked, projected on each node basis of the
-        steps (one batched product per node, each row the product
-        ``V_j' p`` alone would give) and blended."""
-        loads = np.array([self.load(t) for t in t_end])[:, None, :]
-        steps = np.arange(len(t_end))
-        nodes, index = np.unique(np.concatenate([cell, nxt]), return_inverse=True)
-        projected = np.array([np.matmul(loads, self._bases[node])[:, 0] for node in nodes])
-        out = projected[index[:len(t_end)], steps]
-        if weight.any():
-            w = weight[:, None]
-            out = (1.0 - w) * out + w * projected[index[len(t_end):], steps]
-        return out
-
-    def _project(self, vec):
-        """``V'vec`` for the step's basis ``V = (1 - w) V_j + w V_{j+1}``,
-        blended from the projections on the two node bases."""
-        j, w = self._cell
-        out = self._bases[j].T @ vec
-        if w != 0.0:
-            out = (1.0 - w) * out + w * (self._bases[j + 1].T @ vec)
-        return out
+    def _block_forces(self, block, t_end):
+        """The forces of the right-hand sides of the steps ending at
+        ``t_end``, stacked in rows: the leading-order loads."""
+        return np.array([self.load(t) for t in t_end])
 
     def _linearize(self, q):
         """Reduced force at ``q`` and a callable for the state-dependent part
@@ -536,9 +523,11 @@ class CorrectionRom(AdaptiveRom):
     ``q0_of_t(t) -> (q0, q0dot)`` and the analytic epsilon-derivative of the
     load ``eps_load(t)``. The stiffness is the reduced tangent at the
     leading-order state ``q0``, so the operators are time dependent but
-    state independent; initial conditions are identically zero. Its blocks
-    freeze what the leading model's do except the right-hand side, which
-    is frozen per step (:meth:`_rhs`).
+    state independent; initial conditions are identically zero.
+
+    Its blocks freeze what the leading model's do, with the slow coupling
+    of each step (:meth:`_block_forces`) in place of the load; a step adds
+    only its tangent ``K0`` (:meth:`_freeze_force`).
     """
 
     def __init__(self, leading, q0_of_t, nu, eps_load=None, dxc_dtau=None):
@@ -552,24 +541,29 @@ class CorrectionRom(AdaptiveRom):
         self.load = eps_load or (lambda t: np.zeros(model.dof_count))
         self.dxc_dtau = dxc_dtau or (lambda tau: 0.0)
 
-    def _block_rhs(self, t_end, cell, nxt, weight):
-        # The right-hand side needs q0(t) and is frozen per step, by _rhs.
-        return None
+    def _block_forces(self, block, t_end):
+        """The slow couplings ``dp/deps - 2 nu M dV/dtau q0' - nu C (du_eq/dtau
+        + dV/dtau q0)`` of the steps ending at ``t_end``, stacked in rows;
+        each step's ``q0`` is kept in the block for its tangent."""
+        mass, damping = self.model.mass(), self.model.damping()
+        block.q0, forces = [], []
+        for t, tau, x_c in zip(t_end, block.tau, block.theta):
+            q0, q0d = self.q0_of_t(t)
+            dv_dxc, du_dxc = slow_basis_derivative(self.database, x_c)
+            rate = self.dxc_dtau(tau)
+            v_slow = dv_dxc * rate
+            force = self.load(t) - 2.0 * self.nu * (mass @ (v_slow @ q0d))
+            u_slow = v_slow @ q0 + du_dxc * rate
+            forces.append(force - self.nu * (damping @ u_slow))
+            block.q0.append(q0)
+        return np.array(forces)
 
-    def _rhs(self, t):
-        """Freeze the tangent ``K0`` at ``q0(t)``, as its state-dependent
-        part and in whole, and return the projected slow-coupling force of
-        the step ending at ``t``."""
-        q0, q0d = self.q0_of_t(t)
-        self._s0 = super()._linearize(q0)[1]()
+    def _freeze_force(self, block, row):
+        """Freeze the tangent ``K0`` at the step's ``q0``, as its
+        state-dependent part and in whole."""
+        super()._freeze_force(block, row)
+        self._s0 = super()._linearize(block.q0[row])[1]()
         self._k0 = self._k_const + self._s0
-        dv_dxc, du_dxc = slow_basis_derivative(self.database, self._x_c)
-        rate = self.dxc_dtau(self._tau)
-        v_slow = dv_dxc * rate
-        force = self.load(t) - 2.0 * self.nu * (self.model.mass() @ (v_slow @ q0d))
-        u_slow = v_slow @ q0 + du_dxc * rate
-        force = force - self.nu * (self.model.damping() @ u_slow)
-        return self._project(force)
 
     def _linearize(self, q):
         s0 = self._s0

@@ -24,6 +24,7 @@ from .basisdb import (
     BasisDatabase,
     build_database,
     cell_weight,
+    chain_blend,
     default_grid,
     modal_pod,
     stack_columns,
@@ -366,9 +367,9 @@ def _mms_reconstruction(scn, traj0, traj1=None):
     """Full displacements ``u_eq + V (q0 + eps q1)`` on the basis
     interpolated at each saved time, one pass per run of consecutive saved
     times in one grid cell: with the cell and weights of
-    :func:`cell_weight`, the states ``Q`` of a run give
-    ``(1 - w)(u_j + Q V_j') + w(u_{j+1} + Q V_{j+1}')``, written into their
-    rows of the output."""
+    :func:`cell_weight`, the states ``Q`` of a run give the
+    :func:`chain_blend` ``(1 - w)(u_j + Q V_j') + w(u_{j+1} + Q V_{j+1}')``,
+    written into their rows of the output."""
     db = scn.database
     q = traj0.displacement
     if traj1 is not None:
@@ -379,12 +380,9 @@ def _mms_reconstruction(scn, traj0, traj1=None):
     for a, b in zip(starts, [*starts[1:], cells.size]):
         node, rows, w = db.entries[cells[a]], slice(a, b), weights[a:b, None]
         out[rows] = reconstruct(node.u_eq, node.matrix, q[rows])
-        if np.any(w):
+        if np.any(w):  # a run on a node reconstructs from that node alone
             nxt = db.entries[cells[a] + 1]
-            out[rows] *= 1.0 - w
-            part = reconstruct(nxt.u_eq, nxt.matrix, q[rows])
-            part *= w
-            out[rows] += part
+            chain_blend(out[rows], reconstruct(nxt.u_eq, nxt.matrix, q[rows]), w, overwrite=True)
     return out
 
 

@@ -260,6 +260,25 @@ def test_derivative_chain_rule_in_slow_phase(db_curved_small):
     np.testing.assert_allclose(analytic, fd, atol=1e-4 * np.abs(fd).max())
 
 
+def test_derivative_zero_off_the_grid_one_sided_on_its_ends(db_curved_small):
+    # off the grid the interpolated basis is clamped and does not move, so
+    # its derivative is zero there; on an end node it is the one-sided slope
+    # of the end cell
+    db, g = db_curved_small, db_curved_small.grid
+    past = interpolate_basis(db, g[-1] + 0.01)
+    assert all(np.array_equal(a, b) for a, b in zip(past, interpolate_basis(db, g[-1] + 0.02)))
+    for x in (g[0] - 0.01, np.nextafter(g[0], -1.0), np.nextafter(g[-1], 2.0), g[-1] + 0.01):
+        dv, du = slow_basis_derivative(db, x)
+        assert not dv.any() and not du.any(), x
+    for x, (a, b) in ((g[0], (0, 1)), (g[-1], (-2, -1))):
+        dv, du = slow_basis_derivative(db, x)
+        h = g[b] - g[a]
+        np.testing.assert_allclose(dv, (db.entries[b].matrix - db.entries[a].matrix) / h,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(du, (db.entries[b].u_eq - db.entries[a].u_eq) / h,
+                                   rtol=1e-9, atol=1e-15)
+
+
 # -- stacking -----------------------------------------------------------------------
 
 def test_stack_shape_and_blocks(db_curved_small):

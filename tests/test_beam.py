@@ -184,7 +184,7 @@ def test_linear_linearization_is_k_u_plus_b_without_weak_form(rise, n_elements, 
     t_all = model.gauss_temperature(x_c)
     assert np.array_equal(t_heated, t_all[elements])
     assert not np.delete(t_all, np.arange(n_elements)[elements], axis=0).any()
-    linearize = model.linearization(x_c)
+    linearize = model.linearizations([x_c])(0)
     calls = []
     weak_form = kernels._element_weak_form
     monkeypatch.setattr(kernels, "_element_weak_form",

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from thermrom import beam, kernels, rom
-from thermrom.basisdb import BasisDatabase, build_database, default_grid, interpolate_basis
+from thermrom.basisdb import (
+    BasisDatabase,
+    build_database,
+    default_grid,
+    interpolate_basis,
+    slow_basis_derivative,
+)
 from thermrom.errors import ContractError, IntegrationError
 from thermrom.newmark import newmark_integrate
 from thermrom.rom import (
@@ -335,7 +341,7 @@ def test_full_iteration_matrix_follows_coefficients_and_steps(name, request, rng
         system.begin_step(t0, t1)
         u = 1e-5 * rng.standard_normal(n)
         system.residual(u, zero, zero)
-        k_t = kernels.band_to_dense(model.linearization(0.03 + 2e2 * t1)(u)[1]())
+        k_t = kernels.band_to_dense(model.linearizations([0.03 + 2e2 * t1])(0)(u)[1]())
         for c_acc, c_vel in ((4.0e9, 1.0e5), (1.0e9, 3.0e4), (4.0e9, 1.0e5)):
             got = kernels.band_to_dense(system.iteration_matrix(c_acc, c_vel)[p:])
             assert np.array_equal(got, c_acc * model.mass() + c_vel * model.damping() + k_t)
@@ -744,6 +750,59 @@ def test_correction_rhs_matches_2d_finite_difference_oracle(beam_curved_nl, db_n
         - 1.0 * nu * (model.damping() @ du0_dtau)
     )
     np.testing.assert_allclose(rhs, oracle, atol=1e-5 * np.linalg.norm(oracle))
+
+
+@pytest.mark.parametrize("kinematics", ["curved-nonlinear", "curved-linear"])
+def test_correction_rhs_frozen_in_blocks_is_the_direct_one(beams_and_dbs, kinematics):
+    # the right-hand side each planned begin_step of the correction reads
+    # from its block is V'[p_eps - 2 nu M dV/dtau q0' - nu C (du_eq/dtau +
+    # dV/dtau q0)], evaluated directly with the interpolated basis and its
+    # slow derivative at the step's position: over two blocks and a partial
+    # third, with the pulse on grid nodes, blended inside cells, on both
+    # grid ends and clamped past them. The direct product with the blended
+    # n x m basis rounds apart from the blend of the two node projections
+    # (measured: at most 1.3e-15 of the largest entry)
+    model, db = beams_and_dbs[kinematics]
+    g, m, nu = db.grid, db.m, 2.0e3
+    n_steps = 2 * rom.BLOCK_STEPS + 10
+    rng = np.random.default_rng(5)
+    positions = np.concatenate([g, g[:-1] + rng.uniform(0.05, 0.95, g.size - 1) * np.diff(g),
+                                [g[0] - 0.01, g[-1] + 0.01]])
+    positions = rng.permutation(np.resize(positions, n_steps + 1))
+    qa, qb = 1e-4 * rng.standard_normal((2, m))
+    l_vec = model.uniform_transverse_load(3e2)
+
+    def q0_of_t(t):
+        return qa * np.sin(nu * t) + qb, nu * qa * np.cos(nu * t)
+
+    def eps_load(t):
+        return l_vec * np.cos(nu * t)
+
+    def dxc_dtau(tau):
+        return 0.02 * np.cos(tau)
+
+    dt = 1e-5
+    # the step midpoint's slow phase is the step's index, plus one half
+    leading = AdaptiveRom(model, db, tau_of_t=lambda t: t / dt,
+                          xc_of_tau=lambda tau: positions[np.floor(tau).astype(int)])
+    corr = CorrectionRom(leading, q0_of_t=q0_of_t, nu=nu, eps_load=eps_load,
+                         dxc_dtau=dxc_dtau)
+    t_start, t_end = dt * np.arange(n_steps), dt * np.arange(1, n_steps + 1)
+    corr.plan_steps(t_start, t_end)
+    zero = np.zeros(m)
+    worst = 0.0
+    for k in range(n_steps):
+        corr.begin_step(t_start[k], t_end[k])
+        got = -corr.residual(zero, zero, zero)
+        x_c, tau, t = positions[k], 0.5 * (t_start[k] + t_end[k]) / dt, t_end[k]
+        v, _ = interpolate_basis(db, x_c)
+        dv, du = slow_basis_derivative(db, x_c)
+        q0, q0d = q0_of_t(t)
+        rate = dxc_dtau(tau)
+        expect = v.T @ (eps_load(t) - 2.0 * nu * (model.mass() @ (dv * rate @ q0d))
+                        - nu * (model.damping() @ (du * rate + dv * rate @ q0)))
+        worst = max(worst, np.abs(got - expect).max() / np.abs(expect).max())
+    assert worst <= 1e-14, worst
 
 
 def test_correction_tangent_projection_oracle(beam_curved_nl, db_nl, rng):
