@@ -10,7 +10,7 @@ Interpolation of an unaligned database is a contract error.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,6 @@ class BasisDatabase:
     aligned: bool = True
     alignment_residuals: np.ndarray | None = None
     adjacent_angles: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)

@@ -9,6 +9,12 @@ evaluated analytically at the Gauss points. A ``linear_kinematics`` switch
 drops the quadratic membrane term and its tangent, keeping the
 temperature-dependent (prestress) stiffness and the thermal load, so the
 internal force is exactly ``K(theta) u + b(theta)`` in that mode.
+
+The beam alone knows its kinematics and its Gauss points. The full model
+asks it for ``linearizations(thetas)`` per block of steps; a reduced model
+on a chain of bases asks, offline, for ``reduced_force_blocks`` and, per
+block, for ``reduced_linearizations``. Both return the step's
+``u -> (f, tangent)``, and no caller branches on the kinematics.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 
 from . import kernels
+from .basisdb import chain_blend
 from .errors import ContractError
 from .models import SecondOrderModel
 
@@ -148,8 +154,6 @@ class BeamModel(SecondOrderModel):
     in meters. With ``pulse=None`` the beam is always cold. Instances are
     immutable; cached matrices are returned read-only.
     """
-
-    n_gauss = 3
 
     def __init__(self, properties=None, pulse=None, linear_kinematics=False):
         self.properties = properties or BeamProperties()
@@ -384,93 +388,130 @@ class BeamModel(SecondOrderModel):
             self._cold_band, self.tables, self._membrane_rows[windows],
             t_heated * self._wq_thermal, first)
         k, b = band[:, self._free], loads[:, self._free]
-        n, p = self.dof_count, kernels.HALF_BANDWIDTH
 
         def at(i):
             hold(i)
             b_i = b[i]
-            if n <= 2 * p:
-                # scipy's gbmv takes only bands with n >= 2p + 1.
-                k_dense = kernels.band_to_dense(k)
-                return lambda u: (k_dense @ u + b_i, lambda: k)
-            # gbmv copies y = b before it adds K u, so b serves every state.
-            return lambda u: (dgbmv(n, n, p, p, 1.0, k, u, beta=1.0, y=b_i), lambda: k)
+            return lambda u: (kernels.band_matvec(k, u, b_i), lambda: k)
         return at
 
     # -- reduced evaluation -------------------------------------------------
 
-    def reduced_rows(self, v, u_org):
-        """Gauss-point rows of ``u = u_org + V q`` for the reduced kernels.
+    def reduced_force_blocks(self, bases, origins):
+        """Offline, for a chain of bases ``V_j`` about origins ``u_j``: the
+        state-independent force blocks of each node and each cell, and the
+        node rows that :meth:`reduced_linearizations` reads.
 
-        Returns ``(rows, offset)`` of shapes ``(3, 3*n_el, m)`` and
-        ``(3, 3*n_el)``: ``rows[k] @ q + offset[k]`` is the axial strain
-        (k = 0), slope (1) and curvature (2) at every Gauss point. Both are
-        linear in ``(V, u_org)``, so the rows of an interpolated basis are
-        the interpolated rows.
+        Returns ``(nodes, cells, rows)``: ``nodes[j]`` is ``X_jj`` and
+        ``cells[j]`` is ``X_jk + X_kj`` (k = j + 1). The first ``m`` rows of
+        ``X_ab`` are the state-independent part ``K_const`` of the reduced
+        tangent from bases ``a`` and ``b``
+        (:func:`kernels.reduced_constant_tangent`); under linear kinematics
+        that is the whole cold tangent, and one more row holds the cold
+        force of origin ``b`` on basis ``a``
+        (:func:`kernels.reduced_cold_load`). Both are bilinear in the two
+        bases, so a blend of nodes j and k with weight ``w`` has the blocks
+        ``(1-w)^2 X_jj + w(1-w) (X_jk + X_kj) + w^2 X_kk``, like its mass.
+        ``rows`` are the Gauss-point rows of ``u_j + V_j q`` and their
+        offsets (:func:`kernels.gauss_rows`) under full kinematics, and their
+        :func:`kernels.reduced_thermal_rows` under linear kinematics; both
+        are linear in ``(V_j, u_j)``, so a blended basis has blended rows.
         """
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.dof_count:
-            raise ContractError(
-                f"basis has shape {v.shape}, expected ({self.dof_count}, m)"
-            )
-        cols = np.zeros((self.n_full, v.shape[1] + 1))
-        cols[:, 0] = self._embed(u_org)
-        cols[self._free, 1:] = v
-        r = kernels.gauss_rows(cols, self.tables)
-        return np.ascontiguousarray(r[:, :, 1:]), np.ascontiguousarray(r[:, :, 0])
-
-    def constant_block(self, rows_a, rows_b):
-        """The state-independent part of the reduced tangent from the
-        :meth:`reduced_rows` of two bases
-        (:func:`kernels.reduced_constant_tangent`). Under full kinematics it
-        is ``A_a' diag(wq EA) A_b + B_a' diag(wq EI) B_b``; under linear
-        kinematics the whole cold tangent, with the constant membrane rows
-        ``G = A + z0' W`` in place of ``A``."""
         p = self.properties
-        return kernels.reduced_constant_tangent(
-            rows_a, rows_b, self._wq_gauss, p.axial_rigidity, p.bending_rigidity,
-            self._z0p_flat if self.linear_kinematics else None)
+        ea, ei, wq = p.axial_rigidity, p.bending_rigidity, self._wq_gauss
+        z0p = self._z0p_flat if self.linear_kinematics else None
+        rows, offsets = [], []
+        for v, u_org in zip(bases, origins):
+            v = np.asarray(v, dtype=float)
+            if v.ndim != 2 or v.shape[0] != self.dof_count:
+                raise ContractError(
+                    f"basis has shape {v.shape}, expected ({self.dof_count}, m)"
+                )
+            cols = np.zeros((self.n_full, v.shape[1] + 1))
+            cols[:, 0] = self._embed(u_org)
+            cols[self._free, 1:] = v
+            r = kernels.gauss_rows(cols, self.tables)
+            rows.append(np.ascontiguousarray(r[:, :, 1:]))
+            offsets.append(np.ascontiguousarray(r[:, :, 0]))
 
-    def cold_load(self, rows_a, offset_b):
-        """Under linear kinematics: the cold force of the origin of basis
-        ``b`` projected on basis ``a``, from their :meth:`reduced_rows`
-        (:func:`kernels.reduced_cold_load`). It is bilinear in the two, so
-        the cold force at the origin of a blended basis is blended from
-        these like the mass."""
-        p = self.properties
-        return kernels.reduced_cold_load(rows_a, offset_b, self._wq_gauss, self._z0p_flat,
-                                         p.axial_rigidity, p.bending_rigidity)
+        def cold(a, b):
+            return kernels.reduced_cold_load(rows[a], offsets[b], wq, z0p, ea, ei)
 
-    def reduced_thermal_rows(self, rows, offset):
-        """Under linear kinematics: the Gauss-point rows of a basis that its
-        thermal part needs, from :meth:`reduced_rows`
-        (:func:`kernels.reduced_thermal_rows`)."""
-        return kernels.reduced_thermal_rows(rows, offset, self._z0p_flat)
+        def blocks(a, b):
+            k_const = kernels.reduced_constant_tangent(rows[a], rows[b], wq, ea, ei, z0p)
+            return k_const if z0p is None else np.vstack([k_const, cold(a, b)])
 
-    def reduced_linearization(self, rows, offset, t_gauss):
-        """Under full kinematics: a callable ``q -> (V'f(u_org + V q),
-        tangent)`` at the Gauss temperatures ``t_gauss`` (see
-        :meth:`gauss_temperature`), from :meth:`reduced_rows`.
-        ``tangent()`` returns the state-dependent part of ``V'K_t V``; the
-        :meth:`constant_block` of the basis is the rest. The kernel
-        arguments are frozen here, once per basis and temperature
-        (:func:`kernels.reduced_linearization`)."""
-        p = self.properties
-        return kernels.reduced_linearization(
-            rows, offset, self._wq_gauss, self._z0p_flat, t_gauss.ravel(),
-            p.axial_rigidity, p.bending_rigidity, p.thermal_expansion)
+        nodes = [blocks(j, j) for j in range(len(rows))]
+        cells = []
+        for j in range(len(rows) - 1):
+            cross = blocks(j, j + 1)
+            m = cross.shape[1]
+            cross[:m] = cross[:m] + cross[:m].T
+            if z0p is not None:
+                cross[m] += cold(j + 1, j)
+            cells.append(cross)
+        if z0p is None:
+            return nodes, cells, (rows, offsets)
+        return nodes, cells, np.stack([kernels.reduced_thermal_rows(r, u, z0p)
+                                       for r, u in zip(rows, offsets)])
 
-    def reduced_thermal_linearization(self, rows, t_gauss, f_cold, k_cold):
-        """Under linear kinematics, for a block of steps: the reduced force
-        ``f`` at ``q = 0`` of ``u = u_org + V q``, its tangent ``J`` and the
-        thermal part ``S_T`` of the tangent, one row per step, so that the
-        force is ``f + J q``. From each step's cold force ``f_cold``
-        (:meth:`cold_load`) and tangent ``k_cold`` (:meth:`constant_block`)
-        and its :meth:`reduced_thermal_rows` ``rows`` at the heated Gauss
-        points, whose temperatures are ``t_gauss`` (:meth:`heated_elements`)
-        (:func:`kernels.reduced_thermal_linearization`)."""
-        return kernels.reduced_thermal_linearization(
-            rows, (t_gauss * self._wq_thermal).reshape(len(t_gauss), -1), f_cold, k_cold)
+    def reduced_linearizations(self, rows, thetas, cell, upper, weight, forces):
+        """``at(i)``: the reduced linearization ``q -> (f, tangent)`` of step
+        ``i`` of a block of steps on a chain of bases, as
+        :meth:`linearizations` gives the full one.
+
+        Step ``i`` blends nodes ``cell[i]`` and ``upper[i]`` with weight
+        ``weight[i]`` at the temperature parameter ``thetas[i]`` (``thetas``
+        None: a cold beam). ``rows`` are the node rows of
+        :meth:`reduced_force_blocks`, and ``forces()`` returns the force
+        blocks of every step's blend. ``f`` is ``V'f(u_org + V q)`` and
+        ``tangent()`` the state-dependent part of ``V'K_t V``; the blended
+        ``K_const`` is the rest.
+
+        - Under full kinematics ``at(i)`` blends the step's rows and offsets
+          and freezes the reduced weak form at the step's Gauss temperatures
+          (:func:`kernels.reduced_linearization`); each state evaluates it
+          once. ``forces`` is not called.
+        - Under linear kinematics the force is affine, ``f + J q``: for the
+          whole block, the thermal force and tangent of each step's heated
+          Gauss points (:meth:`heated_elements`) are added to its blended
+          cold ones (:func:`kernels.reduced_thermal_linearization`). No weak
+          form is evaluated.
+        """
+        count = cell.size
+        if not self.linear_kinematics:
+            t_gauss = np.broadcast_to(self.gauss_temperature(thetas),
+                                      (count,) + self.x_gauss.shape)
+            p, (gauss_rows, offsets) = self.properties, rows
+            wq, z0p = self._wq_gauss, self._z0p_flat
+
+            def at(i):
+                j, k, w = cell[i], upper[i], float(weight[i])
+                return kernels.reduced_linearization(
+                    chain_blend(gauss_rows[j], gauss_rows[k], w),
+                    chain_blend(offsets[j], offsets[k], w), wq, z0p, t_gauss[i].ravel(),
+                    p.axial_rigidity, p.bending_rigidity, p.thermal_expansion)
+            return at
+
+        first, t_heated = self.heated_elements(thetas)
+        first = np.broadcast_to(first, (count,))
+        t_heated = np.broadcast_to(t_heated, (count,) + t_heated.shape[-2:])
+        # The rows hold three Gauss points per element; only those of each
+        # step's heated window are blended.
+        points = 3 * first[:, None] + np.arange(3 * t_heated.shape[1])
+        heated = rows[cell[:, None], points]
+        if np.any(weight):
+            heated = chain_blend(heated, rows[upper[:, None], points], weight[:, None, None],
+                                 overwrite=True)
+        cold = forces()
+        m = cold.shape[-1]
+        force, jacobian, thermal = kernels.reduced_thermal_linearization(
+            heated, (t_heated * self._wq_thermal).reshape(count, -1), cold[:, m], cold[:, :m])
+
+        def at(i):
+            f, jac, s_t = force[i], jacobian[i], thermal[i]
+            return lambda q: (f + jac @ q, lambda: s_t)
+        return at
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

@@ -18,7 +18,7 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class PerturbationForcing:
     times: np.ndarray
     omega_carrier: float
     cutoff: float
-    seed: int
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._dt = float(self.times[1] - self.times[0])
@@ -76,13 +74,13 @@ class PerturbationForcing:
         return self.leading_load(t) + eps * self.eps_load(t)
 
 
-def make_perturbation(l0, modes, omega3, times, seed, omega_carrier, mass=None):
+def make_perturbation(l0, modes, omega3, times, seed, omega_carrier, mass):
     """Build the seeded perturbation for one run.
 
     ``modes`` are the first five mass-normalized modes at the mid-span pulse
     configuration; the combination coefficients are drawn uniformly from
-    (0, 1), the shape is mass-weighted (consistent load of the combined
-    field, see module docstring) when ``mass`` is given, and rescaled to
+    (0, 1), the shape is weighted by ``mass`` (consistent load of the
+    combined field, see module docstring) and rescaled to
     ``|l1|_2 = |l0|_2``. ``a(t)`` is drawn per grid node, low-passed at
     ``omega3`` and mapped affinely onto [0, 1]. The same seed reproduces
     both bit-identically.
@@ -94,9 +92,7 @@ def make_perturbation(l0, modes, omega3, times, seed, omega_carrier, mass=None):
         raise ContractError("modes must be columns matching the load dimension")
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.0, 1.0, size=modes.shape[1])
-    l1 = modes @ coeffs
-    if mass is not None:
-        l1 = mass @ l1
+    l1 = mass @ (modes @ coeffs)
     l1 *= np.linalg.norm(l0) / np.linalg.norm(l1)
 
     raw = rng.uniform(0.0, 1.0, size=times.size)
@@ -109,6 +105,5 @@ def make_perturbation(l0, modes, omega3, times, seed, omega_carrier, mass=None):
         amplitude = np.zeros_like(filtered)
     return PerturbationForcing(
         l0=l0, l1=l1, amplitude=amplitude, times=times,
-        omega_carrier=float(omega_carrier), cutoff=float(omega3), seed=int(seed),
-        info={"coefficients": coeffs},
+        omega_carrier=float(omega_carrier), cutoff=float(omega3),
     )

@@ -76,11 +76,12 @@ with the cold parts ``K_cold = G' diag(wq EA) G + B' diag(wq EI) B``
 (:func:`reduced_constant_tangent`) and ``f_cold = G'(wq EA e_org) +
 B'(wq EI w''_org)`` (:func:`reduced_cold_load`), which are bilinear in
 the rows and offsets of the basis and so are built per basis node and
-cell, offline, and blended like the mass. Only the thermal part,
-``S_T = W' diag(c) W`` and ``f_T = G'c + W'(c w'_org)`` with
-``c = wq N_T``, depends on the step; it is evaluated for a block of steps
-at once, from the rows of each step's heated Gauss points
-(:func:`reduced_thermal_linearization`). Full kinematics, and the
+cell, offline (``BeamModel.reduced_force_blocks``), and blended like the
+mass. Only the thermal part, ``S_T = W' diag(c) W`` and
+``f_T = G'c + W'(c w'_org)`` with ``c = wq N_T``, depends on the step; it
+is evaluated for a block of steps at once, from the rows of each step's
+heated Gauss points (:func:`reduced_thermal_linearization`, called by
+``BeamModel.reduced_linearizations``). Full kinematics, and the
 single evaluations of :func:`beam_force` and :func:`beam_force_and_tangent`
 that the set-up makes, keep the weak form.
 
@@ -93,7 +94,8 @@ to ``j + p`` and the main diagonal is row ``p``. The corner entries, whose
 row ``i`` falls outside ``[0, n)``, are zero here but are read neither by
 LAPACK nor by :func:`band_to_dense`, so slicing band columns restricts the
 matrix to a contiguous range of dofs. :func:`band_to_dense` and
-:func:`dense_to_band` convert between the two layouts, and
+:func:`dense_to_band` convert between the two layouts,
+:func:`band_matvec` multiplies with a band (BLAS ``gbmv``), and
 ``scipy.linalg.solve_banded((p, p), ab, b)`` solves with it.
 
 The element vectors and blocks are added in two passes, even elements
@@ -120,6 +122,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 __all__ = [
     "HALF_BANDWIDTH",
@@ -127,6 +130,7 @@ __all__ = [
     "get_backend",
     "band_to_dense",
     "dense_to_band",
+    "band_matvec",
     "beam_linearization",
     "beam_force",
     "beam_force_and_tangent",
@@ -169,7 +173,6 @@ class ElementTables:
         ell = float(length)
         if ell <= 0.0:
             raise ValueError("element length must be positive")
-        self.length = ell
         self.ba = np.array([-1.0 / ell, 0.0, 0.0, 1.0 / ell, 0.0, 0.0])
         bw = np.zeros((3, 6))
         bb = np.zeros((3, 6))
@@ -270,6 +273,20 @@ def dense_to_band(a, p):
     for r, cols, diag in _diagonals(p, n):
         ab[r, cols] = flat[diag]
     return ab
+
+
+def band_matvec(ab, x, y=None):
+    """``A x``, or ``A x + y`` without modifying ``y``, of the square matrix
+    held in band storage ``ab``, by BLAS ``gbmv``. scipy's ``gbmv`` takes
+    only bands with ``n >= 2p + 1``; a smaller band, such as a dense
+    matrix's (``p = n - 1``), gets the dense product."""
+    p, n = ab.shape[0] // 2, ab.shape[1]
+    if n < 2 * p + 1:
+        ax = band_to_dense(ab) @ x
+        return ax if y is None else y + ax
+    if y is None:
+        return dgbmv(n, n, p, p, 1.0, ab, x)
+    return dgbmv(n, n, p, p, 1.0, ab, x, beta=1.0, y=y)
 
 
 # ---------------------------------------------------------------------------

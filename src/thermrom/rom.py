@@ -33,16 +33,28 @@ center ``x_c(tau)`` and ``tau(t) = eps * nu * t`` with ``nu`` the fast
 ``theta_of_t`` of the full and constant-basis models, with arrays of times
 or phases, elementwise; a map that returns one scalar is constant.
 
-The work is split into an offline and an online part. Offline, when a model
-is built, each basis node gets its Gauss-point rows from
-:meth:`BeamModel.reduced_rows`. The interpolated basis is linear in the
-blend weight ``w``, and so are its rows; ``V'MV``, ``V'CV`` and the
-state-independent part of the reduced tangent ``K_const``
-(:meth:`BeamModel.constant_block`) are quadratic in ``w``, so each grid
-cell ``(j, j+1)`` gets three m x m blocks of each. Under linear kinematics
-``K_const`` is the whole cold tangent, and the cold force at the origin
-(:meth:`BeamModel.cold_load`), quadratic in ``w`` too, is stacked below the
-blocks, so one blend serves all four.
+Every system asks its model for the force, and none knows the model's
+kinematics or quadrature. The full model asks once per block of steps for
+``model.linearizations(thetas)``; a reduced model asks for the same
+contract on its chain of bases, offline once and then once per block:
+
+- offline, ``model.reduced_force_blocks(bases, origins)`` gives the
+  state-independent force blocks of each node and cell, whose first ``m``
+  rows are the state-independent part ``K_const`` of the reduced tangent,
+  and the node rows a step needs. The model here projects ``V'MV`` and
+  ``V'CV``. The interpolated basis is linear in the blend weight ``w``, so
+  these blocks are quadratic in ``w``: each node ``j`` gets the blocks
+  ``X_jj`` and each grid cell ``(j, j+1)`` the symmetrized cross term
+  ``X_jk + X_kj``, stacked in rows, and one blend serves them all;
+- per block, ``model.reduced_linearizations(rows, thetas, cell, upper,
+  weight, forces)`` gives ``at(i)``, the step's linearization ``q -> (f,
+  tangent)``, from the block's cells, upper nodes, weights and
+  temperature parameters and the force rows of its blended blocks;
+  ``tangent()`` is the state-dependent part of the reduced tangent, and
+  ``K_const`` the rest. For the beam this evaluates the reduced weak form
+  once per state (:func:`kernels.reduced_linearization`) under full
+  kinematics, and under linear kinematics the affine ``f + J q`` of the
+  thermal part of each step, frozen for the whole block.
 
 Online, what depends on time alone is frozen for a block of
 ``BLOCK_STEPS`` steps at once, in a few vectorised calls, and each
@@ -53,37 +65,22 @@ its one interval with the same code, so a row does not depend on the
 block it was frozen in. Per block and step the reduced models freeze the
 pulse position, the cell and weight from :func:`basisdb.cell_weight`
 (which :func:`basisdb.interpolate_basis` and the batched reconstruction
-use too), the blended blocks with the check of the blended mass, and the
-right-hand side: the block's forces (the loads, or the correction's slow
-coupling at each step's ``q0``), stacked, projected on the node bases
-``V_j``, ``V_{j+1}`` and blended as m-vectors by
-:func:`basisdb.chain_blend`, the one blend of node arrays; the n x m basis
-itself is never blended online. Nothing frozen is sized by the number of
-steps times ``n``.
-
-- Under full kinematics the block holds the Gauss temperatures of each
-  step, and ``begin_step`` blends the rows and offsets of its step; each
-  Newton iteration evaluates the reduced weak form once from them
-  (:func:`kernels.reduced_linearization`), at a cost of O(m^2) per Gauss
-  point, with no n-sized assembly or projection.
-- Under linear kinematics the force is affine in ``q`` and only its
-  thermal part depends on the step: the block blends the rows of each
-  step's heated Gauss points (:meth:`BeamModel.heated_elements`) and adds
-  their thermal force and tangent to the blended cold ones
-  (:meth:`BeamModel.reduced_thermal_linearization`). No weak form is
-  evaluated, and every residual of the step is ``f + J q``.
-
-Per step, the slow correction evaluates only its tangent ``K0`` at the
-step's frozen ``q0``, with the step's kernel.
+use too), the blended blocks with the check of the blended mass, the
+model's linearizations, and the right-hand side: the block's forces (the
+loads, or the correction's slow coupling at each step's ``q0``), stacked,
+projected on the node bases ``V_j``, ``V_{j+1}`` and blended as m-vectors
+by :func:`basisdb.chain_blend`, the one blend of node arrays; the n x m
+basis itself is never blended online. Nothing frozen is sized by the
+number of steps times ``n``. Per step, the slow correction evaluates only
+its tangent ``K0`` at the step's frozen ``q0``, with the step's
+linearization.
 
 Every ``residual`` keeps the tangent callable of its state, and
-``iteration_matrix`` builds the tangent from it; the full model's comes from
-the block's ``model.linearizations(thetas)``, with the temperatures and
-loads of the block. For the beam that is :func:`kernels.beam_linearization`
-under full kinematics, and under linear kinematics ``K(theta) u +
-b(theta)``: the loads ``b`` of the block at once, and one band workspace
-that each step turns from the previous step's ``K`` into its own, with no
-weak form.
+``iteration_matrix`` builds the tangent from it. For the beam's full model
+that is :func:`kernels.beam_linearization` under full kinematics, and under
+linear kinematics ``K(theta) u + b(theta)``: the loads ``b`` of the block
+at once, and one band workspace that each step turns from the previous
+step's ``K`` into its own, with no weak form.
 The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
 formed once per coefficient pair and damping band. A reduced
 iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first
@@ -97,7 +94,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv, dgesv, dpotrf
 
 # interpolate_basis is not called here; it stays importable as
@@ -105,7 +101,7 @@ from scipy.linalg.lapack import dgbsv, dgesv, dpotrf
 from .basisdb import (  # noqa: F401
     cell_weight, chain_blend, interpolate_basis, slow_basis_derivative)
 from .errors import IntegrationError
-from .kernels import dense_to_band
+from .kernels import band_matvec, dense_to_band
 from .newmark import TransientSystem
 
 __all__ = [
@@ -117,14 +113,11 @@ __all__ = [
 ]
 
 
-def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):
-    """Full-space displacement ``u_eq + V*(q0 + eps*q1)``. The reduced
-    states may be one vector or a stack of them in rows, which gives the
-    displacements in rows."""
-    q = np.asarray(q0, dtype=float)
-    if q1 is not None and eps != 0.0:
-        q = q + eps * np.asarray(q1, dtype=float)
-    u = q @ np.asarray(basis).T
+def reconstruct(u_eq, basis, q):
+    """Full-space displacement ``u_eq + V q``. The reduced state may be one
+    vector or a stack of them in rows, which gives the displacements in
+    rows."""
+    u = np.asarray(q, dtype=float) @ np.asarray(basis).T
     u += u_eq
     return u
 
@@ -135,6 +128,16 @@ def reconstruct(u_eq, basis, q0, q1=None, eps=0.0):
 #: it (64 rows of a 20-mode model's blended blocks take 0.6 MB), and so
 #: does its time per step once its arrays outgrow the core's cache.
 BLOCK_STEPS = 64
+
+
+def _solved(x, info, routine):
+    """``x``, the solution of a LAPACK solve ``routine`` whose status is
+    ``info``, or the error that ``info`` reports."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular iteration matrix (zero pivot {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return x
 
 
 def _at_times(fn, times):
@@ -235,14 +238,7 @@ class FullSystem(_BlockFrozen):
 
     def residual(self, u, v, a):
         f, self._tangent = self._linearize(u)
-        n, p = self._mass_band.shape[1], self._p
-        if n < 2 * p + 1:
-            # scipy's gbmv takes only bands with n >= 2p + 1; a dense model
-            # (p = n - 1) keeps the dense products.
-            return self._mass @ a + self._damping @ v + f - self._g
-        inertia = dgbmv(n, n, p, p, 1.0, self._mass_band, a)
-        inertia = dgbmv(n, n, p, p, 1.0, self._damping_band, v, beta=1.0, y=inertia,
-                        overwrite_y=True)
+        inertia = band_matvec(self._damping_band, v, band_matvec(self._mass_band, a))
         return inertia + f - self._g
 
     def iteration_matrix(self, c_acc, c_vel):
@@ -259,11 +255,7 @@ class FullSystem(_BlockFrozen):
     def solve(self, s_mat, rhs):
         """Solve with an :meth:`iteration_matrix`, factoring it in place."""
         _, _, x, info = dgbsv(self._p, self._p, s_mat, rhs, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular iteration matrix (zero pivot {info})")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gbsv")
-        return x
+        return _solved(x, info, "gbsv")
 
 
 class AdaptiveRom(_BlockFrozen):
@@ -277,19 +269,16 @@ class AdaptiveRom(_BlockFrozen):
     single-entry database and a fixed pulse this reduces to a standard
     fixed-basis model.
 
-    Built once: each node's Gauss-point rows, and per cell the blocks
-    ``X_jj``, ``X_jk + X_kj`` and ``X_kk`` (k = j + 1) of the mass, the
-    damping and the state-independent tangent ``K_const`` of
-    :meth:`BeamModel.constant_block`, with ``X_ab = V_a' X V_b``, stacked in
-    rows; under linear kinematics the cold force of
-    :meth:`BeamModel.cold_load` is one more row. Per block of steps,
+    Built once: per node and per cell the blocks ``X_jj`` and ``X_jk +
+    X_kj`` (k = j + 1) of the mass and the damping, with ``X_ab = V_a' X
+    V_b``, and below them the model's force blocks
+    (``model.reduced_force_blocks``), stacked in rows. Per block of steps,
     :meth:`_freeze` blends them for each step's position in the chain,
     checks the blended masses, and freezes what else depends on time alone
     (see the module docstring); ``begin_step`` reads the step's row.
     Subclasses choose the positions (:meth:`_place`), the forces of the
-    right-hand sides (:meth:`_block_forces`) and the reduced force of a step
-    (:meth:`_freeze_force`) with the callable for its state-dependent
-    tangent (:meth:`_linearize`), not ``begin_step``: the benchmark's
+    right-hand sides (:meth:`_block_forces`) and the reduced force of a
+    step (:meth:`_freeze_force`), not ``begin_step``: the benchmark's
     tracer books a step per class that defines it.
     """
 
@@ -303,44 +292,29 @@ class AdaptiveRom(_BlockFrozen):
 
     def _build(self, model, bases, origins):
         self.model = model
-        self._linear = model.linear_kinematics
         self._bases = [np.asarray(v, dtype=float) for v in bases]
-        rows, offsets = zip(*(model.reduced_rows(v, u) for v, u in zip(self._bases, origins)))
-        n_nodes, m = len(self._bases), self._bases[0].shape[1]
+        forces, cross_forces, self._node_rows = model.reduced_force_blocks(self._bases, origins)
+        n_nodes = len(self._bases)
         stacked = np.concatenate(self._bases, axis=1)
         mass_v = np.split(model.mass() @ stacked, n_nodes, axis=1)
         damping_v = np.split(model.damping() @ stacked, n_nodes, axis=1)
 
-        def blocks(a, b):
-            out = [self._bases[a].T @ mass_v[b], self._bases[a].T @ damping_v[b],
-                   model.constant_block(rows[a], rows[b])]
-            if self._linear:
-                out.append(model.cold_load(rows[a], offsets[b])[None])
-            return np.concatenate(out)
+        def inertia(a, b):
+            return np.array([self._bases[a].T @ mass_v[b], self._bases[a].T @ damping_v[b]])
 
-        # Mass, damping and constant-tangent blocks, stacked in rows, and
-        # under linear kinematics the cold force below them: per node, and
-        # per cell the symmetrized cross term.
-        self._node_blocks = np.stack([blocks(j, j) for j in range(n_nodes)])
-        singular = np.flatnonzero(_not_positive_definite(self._node_blocks[:, :m]))
+        # Mass and damping blocks, and the model's force blocks below them,
+        # stacked in rows: per node, and per cell the symmetrized cross term.
+        self._node_blocks = np.stack([np.concatenate([*inertia(j, j), forces[j]])
+                                      for j in range(n_nodes)])
+        singular = np.flatnonzero(_not_positive_definite(self._node_blocks[:, :self.ndof]))
         if singular.size:
             raise _mass_error(f"at basis node j = {singular[0]}")
         self._cross_blocks = []
         for j in range(n_nodes - 1):
-            cross = blocks(j, j + 1)
-            square = cross[:3 * m].reshape(3, m, m)
-            cross[:3 * m] = (square + square.transpose(0, 2, 1)).reshape(3 * m, m)
-            if self._linear:
-                cross[3 * m] += model.cold_load(rows[j + 1], offsets[j])
-            self._cross_blocks.append(cross)
+            square = inertia(j, j + 1)
+            self._cross_blocks.append(np.concatenate(
+                [*(square + square.transpose(0, 2, 1)), cross_forces[j]]))
         self._cross_blocks = np.array(self._cross_blocks)
-        # Under linear kinematics a step needs only the rows of its thermal
-        # part; under full kinematics the rows and offsets of the weak form.
-        if self._linear:
-            self._node_rows = np.stack([model.reduced_thermal_rows(r, u)
-                                        for r, u in zip(rows, offsets)])
-        else:
-            self._node_rows, self._node_offsets = rows, offsets
         self._cell = None
 
     @property
@@ -353,9 +327,8 @@ class AdaptiveRom(_BlockFrozen):
     def _freeze(self, t_start, t_end):
         """The time-only quantities of the steps ``(t_start, t_end)``, one
         row per step: position, cell and weight, the blended operator
-        blocks and whether their mass failed its check, the frozen thermal
-        part of the force (linear kinematics) or the Gauss temperatures
-        (full kinematics), and the right-hand sides."""
+        blocks and whether their mass failed its check, the model's
+        linearizations, and the right-hand sides."""
         m, count = self.ndof, t_end.size
         tau, theta, cell, weight = self._place(t_start, t_end)
         nxt = np.minimum(cell + 1, len(self._bases) - 1)
@@ -384,23 +357,11 @@ class AdaptiveRom(_BlockFrozen):
         steps = np.arange(count)
         block.g = chain_blend(projected[index[:count], steps], projected[index[count:], steps],
                               weight[:, None])
-        if self._linear:
-            # The thermal rows hold three Gauss points per element; only
-            # those of each step's heated window are blended.
-            first, t_heated = self.model.heated_elements(theta)
-            first = np.broadcast_to(first, (count,))
-            t_heated = np.broadcast_to(t_heated, (count,) + t_heated.shape[-2:])
-            points = 3 * first[:, None] + np.arange(3 * t_heated.shape[1])
-            rows = self._node_rows[cell[:, None], points]
-            if blended.any():
-                rows = chain_blend(rows, self._node_rows[nxt[:, None], points], w,
-                                   overwrite=True)
-            cold = self._node_blocks[cell] if blocks is None else blocks
-            block.force, block.jacobian, block.thermal = self.model.reduced_thermal_linearization(
-                rows, t_heated, cold[:, 3 * m], cold[:, 2 * m:3 * m])
-        else:
-            block.t_gauss = np.broadcast_to(self.model.gauss_temperature(theta),
-                                            (count,) + self.model.x_gauss.shape)
+        # The force rows of each step's blocks, gathered only if the
+        # linearization reads them.
+        block.linearization = self.model.reduced_linearizations(
+            self._node_rows, theta, cell, nxt, weight,
+            lambda: self._node_blocks[cell, 2 * m:] if blocks is None else blocks[:, 2 * m:])
         return block
 
     def begin_step(self, t_start, t_end):
@@ -420,17 +381,8 @@ class AdaptiveRom(_BlockFrozen):
         self._g = block.g[row]
 
     def _freeze_force(self, block, row):
-        """Freeze the reduced force of the step in ``row`` of ``block``: the
-        frozen thermal part, or the weak form on the blended rows."""
-        if self._linear:
-            self._f, self._jac, self._s_t = (block.force[row], block.jacobian[row],
-                                             block.thermal[row])
-        else:
-            (j, w), rows, offsets = self._cell, self._node_rows, self._node_offsets
-            k = min(j + 1, len(rows) - 1)
-            self._kernel = self.model.reduced_linearization(
-                chain_blend(rows[j], rows[k], w), chain_blend(offsets[j], offsets[k], w),
-                block.t_gauss[row])
+        """Freeze the reduced force of the step in ``row`` of ``block``."""
+        self._linearize = block.linearization(row)
 
     def residual(self, q, qd, qdd):
         f, self._tangent = self._linearize(q)
@@ -448,11 +400,7 @@ class AdaptiveRom(_BlockFrozen):
     def solve(self, s_mat, rhs):
         """Solve with an :meth:`iteration_matrix` by LAPACK ``gesv``."""
         _, _, x, info = dgesv(s_mat, rhs)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular iteration matrix (zero pivot {info})")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gesv")
-        return x
+        return _solved(x, info, "gesv")
 
     def _place(self, t_start, t_end):
         """Slow phase, temperature parameter, cell and blend weight of each
@@ -465,15 +413,6 @@ class AdaptiveRom(_BlockFrozen):
         """The forces of the right-hand sides of the steps ending at
         ``t_end``, stacked in rows: the leading-order loads."""
         return np.array([self.load(t) for t in t_end])
-
-    def _linearize(self, q):
-        """Reduced force at ``q`` and a callable for the state-dependent part
-        of the reduced tangent there (``K_const`` is the rest), which must
-        not refer to ``self`` (see ``TransientSystem``)."""
-        if self._linear:
-            s_t = self._s_t
-            return self._f + self._jac @ q, lambda: s_t
-        return self._kernel(q)
 
 
 def _not_positive_definite(masses):
@@ -559,12 +498,9 @@ class CorrectionRom(AdaptiveRom):
         return np.array(forces)
 
     def _freeze_force(self, block, row):
-        """Freeze the tangent ``K0`` at the step's ``q0``, as its
-        state-dependent part and in whole."""
-        super()._freeze_force(block, row)
-        self._s0 = super()._linearize(block.q0[row])[1]()
-        self._k0 = self._k_const + self._s0
-
-    def _linearize(self, q):
-        s0 = self._s0
-        return self._k0 @ q, lambda: s0
+        """Freeze the tangent ``K0`` at the step's ``q0``: its
+        state-dependent part from the step's reduced linearization, and
+        ``K_const``."""
+        s0 = block.linearization(row)(block.q0[row])[1]()
+        k0 = self._k_const + s0
+        self._linearize = lambda q: (k0 @ q, lambda: s0)

@@ -294,8 +294,7 @@ def build_beam_scenario(cfg, need_database=True) -> BeamScenario:
     forcing = None
     if d["perturbed"]:
         forcing = make_perturbation(
-            load_vector, modes[:, :5], omega_cut, times, cfg.seed, omega_f,
-            mass=model.mass(),
+            load_vector, modes[:, :5], omega_cut, times, cfg.seed, omega_f, model.mass(),
         )
 
     x0 = d["x0_frac"] * length
@@ -417,7 +416,7 @@ def _run_methods(scn, methods):
         if method == "hfm":
             system = FullSystem(scn.model, theta_of_t=scn.xc_of_t, load=scn.full_load)
             traj = _integrate(scn, system, scn.u_initial, method)
-            m, displacement = None, traj.displacement.copy
+            m, displacement = None, lambda: traj.displacement
         elif method in ("mms-o1", "mms-oeps"):
             if leading is None:
                 rom0 = AdaptiveRom(scn.model, db, scn.tau_of_t, scn.xc_of_tau,

@@ -37,7 +37,8 @@ class LocalBasis:
     ``matrix`` has orthonormal columns spanning the vibration modes (and the
     modal derivatives for kind ``"vm+md"``); ``u_eq`` is the converged static
     equilibrium and ``frequencies`` the ascending circular frequencies of the
-    retained modes.
+    retained modes. ``info["modes"]`` holds the modes, whose signs the next
+    node of a database build follows.
     """
 
     x_c: float
@@ -230,6 +231,6 @@ def build_local_basis(model, x_c, k, with_md=False, u_guess=None, sign_reference
         frequencies=omegas,
         matrix=q,
         kind=kind,
-        info={"column_labels": labels, "r_diagonal": diag.copy(), "modes": phi},
+        info={"modes": phi},
     )
     return basis.validate()

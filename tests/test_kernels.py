@@ -115,6 +115,22 @@ def test_band_storage_matches_its_definition(rng):
             assert np.array_equal(kernels.band_to_dense(ab), banded)
 
 
+def test_band_product_is_the_dense_product(rng):
+    # A x and A x + y from band storage equal the dense products, through
+    # gbmv and through the dense product below the n >= 2p + 1 that scipy's
+    # gbmv takes; y is not modified
+    for n in range(1, 14):
+        for p in range(min(n, 6)):
+            a = kernels.band_to_dense(kernels.dense_to_band(rng.standard_normal((n, n)), p))
+            ab = np.asfortranarray(kernels.dense_to_band(a, p))
+            x, y = rng.standard_normal((2, n))
+            y_before = y.copy()
+            scale = np.abs(a) @ np.abs(x) + np.abs(y)
+            assert np.all(np.abs(kernels.band_matvec(ab, x) - a @ x) <= 1e-14 * scale)
+            assert np.all(np.abs(kernels.band_matvec(ab, x, y) - (a @ x + y)) <= 1e-14 * scale)
+            assert np.array_equal(y, y_before)
+
+
 def _dense_add_at(model, u, x_c):
     """Unconstrained force and dense tangent from the element vectors and
     blocks, scattered element by element with ``np.add.at``."""

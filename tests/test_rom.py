@@ -56,12 +56,9 @@ def test_reconstruct_identities(db_nl, rng):
     v, u_eq = entry.matrix, entry.u_eq
     zero = np.zeros(v.shape[1])
     np.testing.assert_allclose(reconstruct(u_eq, v, zero), u_eq)
-    q0 = rng.standard_normal(v.shape[1])
-    q1 = rng.standard_normal(v.shape[1])
-    np.testing.assert_allclose(reconstruct(u_eq, v, q0, q1, 0.0),
-                               u_eq + v @ q0)
-    np.testing.assert_allclose(reconstruct(u_eq, v, q0, q1, 0.1),
-                               u_eq + v @ (q0 + 0.1 * q1))
+    q = rng.standard_normal((2, v.shape[1]))
+    np.testing.assert_allclose(reconstruct(u_eq, v, q[0]), u_eq + v @ q[0])
+    np.testing.assert_allclose(reconstruct(u_eq, v, q), u_eq + q @ v.T)
 
 
 def test_reconstruct_projection_identity(db_nl, beam_curved_nl, rng):
@@ -103,7 +100,7 @@ def test_batched_reconstruction_equals_per_step(db_nl, beam_curved_nl, eps, sing
     got = _mms_reconstruction(scn, trajectory(q0), trajectory(q1) if eps else None)
     for i, x_c in enumerate(positions):
         v, u_eq = interpolate_basis(db, x_c)
-        expect = reconstruct(u_eq, v, q0[i], None if q1 is None else q1[i], eps or 0.0)
+        expect = reconstruct(u_eq, v, q0[i] if q1 is None else q0[i] + eps * q1[i])
         assert np.linalg.norm(got[i] - expect) <= 1e-13 * np.linalg.norm(expect), x_c
 
 
