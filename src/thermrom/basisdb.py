@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmwrite
 
 from .errors import AlignmentError, ContractError
 from .spectral import LocalBasis, build_local_basis
@@ -358,8 +357,8 @@ def save_database(db, directory):
     for j, entry in enumerate(db.entries):
         edir = directory / f"entry_{j:02d}"
         edir.mkdir(exist_ok=True)
-        mmwrite(str(edir / "basis.mtx"), entry.matrix, precision=17, symmetry="general")
-        mmwrite(str(edir / "u_eq.mtx"), entry.u_eq[:, None], precision=17, symmetry="general")
+        _write_matrix(edir / "basis.mtx", entry.matrix)
+        _write_matrix(edir / "u_eq.mtx", entry.u_eq[:, None])
         (edir / "frequencies.txt").write_text(
             "\n".join(_fmt(w) for w in entry.frequencies) + "\n"
         )
@@ -370,9 +369,23 @@ def _floats(text):
     return np.array([float(t) for t in text.split()])
 
 
+def _write_matrix(path, matrix):
+    """A dense real matrix as a Matrix Market array file, byte for byte
+    what ``scipy.io.mmwrite`` writes with ``precision=17`` and
+    ``symmetry="general"``: the header, an empty comment, the shape, and the
+    values in column order as ``%.16e``, whose 17 digits round-trip every
+    float64, signed zeros included."""
+    rows, cols = matrix.shape
+    values = np.asarray(matrix, dtype=float).T.ravel().tolist()
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n%\n{rows} {cols}\n")
+        fh.write(("%.16e\n" * len(values)) % tuple(values))
+
+
 def _read_matrix(path):
-    """A dense real matrix from a Matrix Market array file that ``mmwrite``
-    wrote with ``symmetry="general"``: the values in column order after the
+    """A dense real matrix from a Matrix Market array file that
+    :func:`_write_matrix` (or ``scipy.io.mmwrite`` with
+    ``symmetry="general"``) wrote: the values in column order after the
     header, comments and shape. numpy's parse keeps the sign of a zero,
     which ``mmread`` drops. Any other header is a ``ValueError``."""
     with open(path) as fh:

@@ -14,7 +14,8 @@ The beam alone knows its kinematics and its Gauss points. The full model
 asks it for ``linearizations(thetas)`` per block of steps; a reduced model
 on a chain of bases asks, offline, for ``reduced_force_blocks`` and, per
 block, for ``reduced_linearizations``. Both return the step's
-``u -> (f, tangent)``, and no caller branches on the kinematics.
+``u -> (f, tangent)``, or a reduced force affine in the state as its
+arrays, and no caller branches on the kinematics.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import kernels
 from .basisdb import chain_blend
 from .errors import ContractError
-from .models import SecondOrderModel
+from .models import AffineForces, SecondOrderModel
 
 __all__ = [
     "BeamProperties",
@@ -456,27 +457,28 @@ class BeamModel(SecondOrderModel):
                                        for r, u in zip(rows, offsets)])
 
     def reduced_linearizations(self, rows, thetas, cell, upper, weight, forces):
-        """``at(i)``: the reduced linearization ``q -> (f, tangent)`` of step
-        ``i`` of a block of steps on a chain of bases, as
-        :meth:`linearizations` gives the full one.
+        """The reduced linearizations of a block of steps on a chain of
+        bases: ``f = V'f(u_org + V q)`` and the state-dependent part of
+        ``V'K_t V``, whose rest is the blended ``K_const``.
 
         Step ``i`` blends nodes ``cell[i]`` and ``upper[i]`` with weight
         ``weight[i]`` at the temperature parameter ``thetas[i]`` (``thetas``
         None: a cold beam). ``rows`` are the node rows of
         :meth:`reduced_force_blocks`, and ``forces()`` returns the force
-        blocks of every step's blend. ``f`` is ``V'f(u_org + V q)`` and
-        ``tangent()`` the state-dependent part of ``V'K_t V``; the blended
-        ``K_const`` is the rest.
+        blocks of every step's blend.
 
-        - Under full kinematics ``at(i)`` blends the step's rows and offsets
-          and freezes the reduced weak form at the step's Gauss temperatures
+        - Under full kinematics this is ``at(i)``, step ``i``'s
+          ``q -> (f, tangent)`` as :meth:`linearizations` gives the full
+          one: it blends the step's rows and offsets and freezes the reduced
+          weak form at the step's Gauss temperatures
           (:func:`kernels.reduced_linearization`); each state evaluates it
           once. ``forces`` is not called.
-        - Under linear kinematics the force is affine, ``f + J q``: for the
-          whole block, the thermal force and tangent of each step's heated
-          Gauss points (:meth:`heated_elements`) are added to its blended
-          cold ones (:func:`kernels.reduced_thermal_linearization`). No weak
-          form is evaluated.
+        - Under linear kinematics the force is affine, ``f + J q``, and this
+          is its :class:`~thermrom.models.AffineForces`: for the whole
+          block, the thermal force and tangent of each step's heated Gauss
+          points (:meth:`heated_elements`) are added to its blended cold
+          ones (:func:`kernels.reduced_thermal_linearization`). No weak form
+          is evaluated.
         """
         count = cell.size
         if not self.linear_kinematics:
@@ -497,21 +499,19 @@ class BeamModel(SecondOrderModel):
         first = np.broadcast_to(first, (count,))
         t_heated = np.broadcast_to(t_heated, (count,) + t_heated.shape[-2:])
         # The rows hold three Gauss points per element; only those of each
-        # step's heated window are blended.
+        # step's heated window are gathered (by np.take on the nodes' rows
+        # end to end, cheaper than indexing by node and point) and blended.
         points = 3 * first[:, None] + np.arange(3 * t_heated.shape[1])
-        heated = rows[cell[:, None], points]
+        flat = rows.reshape(-1, rows.shape[-1])
+        heated = np.take(flat, cell[:, None] * rows.shape[1] + points, axis=0)
         if np.any(weight):
-            heated = chain_blend(heated, rows[upper[:, None], points], weight[:, None, None],
-                                 overwrite=True)
+            heated = chain_blend(heated, np.take(flat, upper[:, None] * rows.shape[1] + points,
+                                                 axis=0),
+                                 weight[:, None, None], overwrite=True)
         cold = forces()
         m = cold.shape[-1]
-        force, jacobian, thermal = kernels.reduced_thermal_linearization(
-            heated, (t_heated * self._wq_thermal).reshape(count, -1), cold[:, m], cold[:, :m])
-
-        def at(i):
-            f, jac, s_t = force[i], jacobian[i], thermal[i]
-            return lambda q: (f + jac @ q, lambda: s_t)
-        return at
+        return AffineForces(*kernels.reduced_thermal_linearization(
+            heated, (t_heated * self._wq_thermal).reshape(count, -1), cold[:, m], cold[:, :m]))
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["error_instant", "error_uniform", "projection_floor",
-           "adaptive_projection_floor"]
+__all__ = ["error_norms", "error_instant", "error_uniform", "instant_from_norms",
+           "uniform_from_norms", "projection_floor", "adaptive_projection_floor"]
 
 
 def _as_history(u):
@@ -23,38 +23,60 @@ def _as_history(u):
     return u
 
 
-def error_instant(u_ref, u_red):
-    """Per-sample relative error ``|u(t) - u_red(t)|_2 / |u(t)|_2``.
+#: Rows of the histories per chunk of :func:`error_norms`: small next to a
+#: history, large enough that the per-chunk overhead does not show.
+CHUNK_ROWS = 256
 
-    Returns ``(errors, valid)``: samples where the reference norm vanishes
-    are NaN in ``errors`` and flagged False in ``valid``.
-    """
+
+def error_norms(u_ref, u_red):
+    """Per-sample norms ``|u(t)|_2`` and ``|u(t) - u_red(t)|_2`` of two
+    histories of one shape, each as ``np.linalg.norm(., axis=1)`` gives it.
+    They are formed ``CHUNK_ROWS`` rows at a time, so the difference of the
+    whole histories and its square are never held."""
     u_ref = _as_history(u_ref)
     u_red = _as_history(u_red)
     if u_ref.shape != u_red.shape:
         raise ContractError(f"histories differ in shape: {u_ref.shape} vs {u_red.shape}")
-    ref_norm = np.linalg.norm(u_ref, axis=1)
-    diff_norm = np.linalg.norm(u_ref - u_red, axis=1)
+    ref_norm, diff_norm = np.empty(len(u_ref)), np.empty(len(u_ref))
+    for start in range(0, len(u_ref), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        ref_norm[rows] = np.linalg.norm(u_ref[rows], axis=1)
+        diff_norm[rows] = np.linalg.norm(u_ref[rows] - u_red[rows], axis=1)
+    return ref_norm, diff_norm
+
+
+def instant_from_norms(ref_norm, diff_norm):
+    """:func:`error_instant` from the :func:`error_norms` of the histories."""
     valid = ref_norm > 0.0
     errors = np.full(ref_norm.shape, np.nan)
     errors[valid] = diff_norm[valid] / ref_norm[valid]
     return errors, valid
 
 
+def uniform_from_norms(ref_norm, diff_norm):
+    """:func:`error_uniform` from the :func:`error_norms` of the histories."""
+    if ref_norm.size == 0:
+        raise ContractError("empty time grid")
+    denom = np.sum(ref_norm)
+    if denom == 0.0:
+        raise ContractError("reference history is identically zero")
+    return float(np.sum(diff_norm) / denom)
+
+
+def error_instant(u_ref, u_red):
+    """Per-sample relative error ``|u(t) - u_red(t)|_2 / |u(t)|_2``.
+
+    Returns ``(errors, valid)``: samples where the reference norm vanishes
+    are NaN in ``errors`` and flagged False in ``valid``.
+    """
+    return instant_from_norms(*error_norms(u_ref, u_red))
+
+
 def error_uniform(u_ref, u_red):
     """Uniform-in-time relative error
     ``sum_t |u - u_red|_2 / sum_t |u|_2`` (one-point quadrature over the
     sampled instants)."""
-    u_ref = _as_history(u_ref)
-    u_red = _as_history(u_red)
-    if u_ref.shape != u_red.shape:
-        raise ContractError(f"histories differ in shape: {u_ref.shape} vs {u_red.shape}")
-    if u_ref.shape[0] == 0:
-        raise ContractError("empty time grid")
-    denom = np.sum(np.linalg.norm(u_ref, axis=1))
-    if denom == 0.0:
-        raise ContractError("reference history is identically zero")
-    return float(np.sum(np.linalg.norm(u_ref - u_red, axis=1)) / denom)
+    return uniform_from_norms(*error_norms(u_ref, u_red))
 
 
 def projection_floor(u_ref, basis):

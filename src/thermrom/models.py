@@ -13,6 +13,7 @@ import json
 import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .kernels import dense_to_band
 
 __all__ = [
     "SecondOrderModel",
+    "AffineForces",
     "Trajectory",
     "CheckResult",
     "ValidationReport",
@@ -100,6 +102,20 @@ class SecondOrderModel(ABC):
     def characteristic_length(self) -> float:
         """Length scale used for finite-difference step selection."""
         return 1.0
+
+
+class AffineForces(NamedTuple):
+    """The forces of a block of steps that are affine in the state, one row
+    per step: step ``i``'s force is ``force[i] + jacobian[i] @ q`` and the
+    state-dependent part of its tangent is ``thermal[i]``; the rest of
+    ``jacobian[i]`` is state independent. A model's block linearization
+    returns this in place of a callable ``at(i)`` when its force is affine,
+    so a caller can freeze each step's whole iteration matrix with the
+    block."""
+
+    force: np.ndarray
+    jacobian: np.ndarray
+    thermal: np.ndarray
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ class TransientSystem(ABC):
     keeps what the tangent needs (a force affine in the state, ``K u + b``,
     needs at most one evaluation per step). What it keeps must not refer to the system: the
     reference cycle would keep it alive until a full garbage collection.
+    The integrator updates a step's Newton iterates in place, in the rows
+    of its histories, so a system that needs a state past the next
+    iteration copies it.
     """
 
     @property
@@ -129,7 +132,11 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     system.plan_steps(np.concatenate(([0.0], times[:-1])), times)
     system.begin_step(0.0, 0.0)
     rhs0 = -system.residual(u, v, np.zeros(n))
-    _residual_norm(rhs0, [], 0, 0.0)
+    # Every norm is sqrt(x.dot(x)), the arithmetic of np.linalg.norm for a
+    # vector without its per-call overhead.
+    res_hist = [math.sqrt(rhs0.dot(rhs0))]
+    if not math.isfinite(res_hist[0]):
+        raise _not_finite(res_hist, 0, 0.0)
     a = np.linalg.solve(system.mass(), rhs0)
     hist_u[0], hist_v[0], hist_a[0] = u, v, a
 
@@ -144,7 +151,7 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     # Response scale for blow-up detection is established over a short
     # warmup window (zero initial conditions start at amplitude zero).
     warmup = min(100, n_steps)
-    ref_amp = max(_norm(u), 1e-300)
+    ref_amp = max(math.sqrt(u.dot(u)), 1e-300)
 
     for step in range(1, n_steps + 1):
         t1 = times[step]
@@ -155,8 +162,10 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
         u1, v1, a1 = u_pred, v_pred, zero
 
         r = system.residual(u1, v1, a1)
-        res_hist = []
-        r_ref = _residual_norm(r, res_hist, step, t1)
+        r_ref = math.sqrt(r.dot(r))
+        res_hist = [r_ref]
+        if not math.isfinite(r_ref):
+            raise _not_finite(res_hist, step, t1)
         iters = 0
         while res_hist[-1] > settings.newton_tol * r_ref and r_ref > 0.0:
             if iters >= settings.max_newton:
@@ -167,20 +176,28 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
                 )
             s_mat = system.iteration_matrix(c_acc, c_vel)
             du = system.solve(s_mat, -r)
-            u1 = u1 + du
-            a1 = c_acc * (u1 - u_pred)
-            v1 = v_pred + c_corr_v * a1
+            # The iterate lives in the step's history rows: the accepted one
+            # is not copied.
+            u1 = np.add(u1, du, out=hist_u[step])
+            a1 = np.subtract(u1, u_pred, out=hist_a[step])
+            a1 *= c_acc
+            v1 = np.multiply(c_corr_v, a1, out=hist_v[step])
+            v1 += v_pred
             r = system.residual(u1, v1, a1)
-            _residual_norm(r, res_hist, step, t1)
+            res_hist.append(math.sqrt(r.dot(r)))
+            if not math.isfinite(res_hist[-1]):
+                raise _not_finite(res_hist, step, t1)
             iters += 1
-            if _norm(du) <= NEWTON_UTOL * (1.0 + _norm(u1)):
+            amp = math.sqrt(u1.dot(u1))
+            if math.sqrt(du.dot(du)) <= NEWTON_UTOL * (1.0 + amp):
                 break
+        if iters == 0:
+            hist_u[step], hist_v[step], hist_a[step] = u1, v1, a1
+            amp = math.sqrt(u1.dot(u1))
         newton_iterations[step] = iters
         step_residuals[step] = res_hist[-1]
 
-        u, v, a = u1, v1, a1
-        hist_u[step], hist_v[step], hist_a[step] = u, v, a
-        amp = _norm(u)
+        u, v, a = hist_u[step], hist_v[step], hist_a[step]
         if step <= warmup:
             ref_amp = max(ref_amp, amp)
         elif amp > GROWTH_LIMIT * ref_amp:
@@ -209,16 +226,8 @@ def newmark_integrate(system, u0, v0, dt, n_steps, settings=None,
     )
 
 
-def _norm(x):
-    """Euclidean norm of a vector with the arithmetic of ``np.linalg.norm``,
-    ``sqrt(x @ x)``, without its per-call overhead."""
-    return math.sqrt(x @ x)
-
-
-def _residual_norm(r, res_hist, step, t):
-    """Append ``|r|`` to ``res_hist`` and return it; raise if it is not finite."""
-    res_hist.append(_norm(r))
-    if not math.isfinite(res_hist[-1]):
-        raise IntegrationError(f"residual is not finite at step {step} (t = {t:.6g})",
-                               step=step, time=t, residual_history=res_hist)
-    return res_hist[-1]
+def _not_finite(res_hist, step, t):
+    """The error for a residual norm, the last of ``res_hist``, that is not
+    finite."""
+    return IntegrationError(f"residual is not finite at step {step} (t = {t:.6g})",
+                            step=step, time=t, residual_history=res_hist)

@@ -47,14 +47,18 @@ contract on its chain of bases, offline once and then once per block:
   ``X_jj`` and each grid cell ``(j, j+1)`` the symmetrized cross term
   ``X_jk + X_kj``, stacked in rows, and one blend serves them all;
 - per block, ``model.reduced_linearizations(rows, thetas, cell, upper,
-  weight, forces)`` gives ``at(i)``, the step's linearization ``q -> (f,
-  tangent)``, from the block's cells, upper nodes, weights and
-  temperature parameters and the force rows of its blended blocks;
-  ``tangent()`` is the state-dependent part of the reduced tangent, and
-  ``K_const`` the rest. For the beam this evaluates the reduced weak form
-  once per state (:func:`kernels.reduced_linearization`) under full
-  kinematics, and under linear kinematics the affine ``f + J q`` of the
-  thermal part of each step, frozen for the whole block.
+  weight, forces)`` gives the steps' reduced forces from the block's
+  cells, upper nodes, weights and temperature parameters and the force
+  rows of its blended blocks: either ``at(i)``, the step's linearization
+  ``q -> (f, tangent)``, or, for a force affine in the state, its arrays
+  :class:`~thermrom.models.AffineForces` ``(f, J, S_T)``, step ``i``'s
+  force ``f[i] + J[i] q``. The tangent, ``tangent()`` or ``S_T[i]``, is
+  the state-dependent part of the reduced tangent, and ``K_const`` the
+  rest. For the beam ``at(i)`` evaluates the reduced weak form once per
+  state (:func:`kernels.reduced_linearization`) under full kinematics;
+  under linear kinematics the force is affine, with the thermal part of
+  each step frozen for the whole block. The model decides which: no
+  system here branches on its kinematics.
 
 Online, what depends on time alone is frozen for a block of
 ``BLOCK_STEPS`` steps at once, in a few vectorised calls, and each
@@ -66,27 +70,31 @@ block it was frozen in. Per block and step the reduced models freeze the
 pulse position, the cell and weight from :func:`basisdb.cell_weight`
 (which :func:`basisdb.interpolate_basis` and the batched reconstruction
 use too), the blended blocks with the check of the blended mass, the
-model's linearizations, and the right-hand side: the block's forces (the
+model's reduced forces, and the right-hand side: the block's forces (the
 loads, or the correction's slow coupling at each step's ``q0``), stacked,
 projected on the node bases ``V_j``, ``V_{j+1}`` and blended as m-vectors
 by :func:`basisdb.chain_blend`, the one blend of node arrays; the n x m
 basis itself is never blended online. Nothing frozen is sized by the
-number of steps times ``n``. Per step, the slow correction evaluates only
-its tangent ``K0`` at the step's frozen ``q0``, with the step's
-linearization.
+number of steps times ``n``. The slow correction's force ``K0 q1`` is
+affine in every scenario: its block freezes each step's tangent ``K0`` at
+the step's ``q0``.
 
-Every ``residual`` keeps the tangent callable of its state, and
-``iteration_matrix`` builds the tangent from it. For the beam's full model
-that is :func:`kernels.beam_linearization` under full kinematics, and under
-linear kinematics ``K(theta) u + b(theta)``: the loads ``b`` of the block
-at once, and one band workspace that each step turns from the previous
-step's ``K`` into its own, with no weak form.
-The full iteration matrix adds the tangent band to ``c_acc M + c_vel C``,
-formed once per coefficient pair and damping band. A reduced
-iteration matrix is ``c_acc M + c_vel C + K_const``, formed on the first
-call of a step and kept while the coefficients and the blend stay, plus
-the state-dependent tangent of the last residual; it is solved with LAPACK
-``gesv``. The reduced mass check is LAPACK ``potrf``.
+The full model's ``residual`` keeps the tangent callable of its state,
+and ``iteration_matrix`` builds the tangent from it: under full kinematics
+:func:`kernels.beam_linearization`, and under linear kinematics ``K(theta)
+u + b(theta)``, with the loads ``b`` of the block at once and one band
+workspace that each step turns from the previous step's ``K`` into its
+own, with no weak form. The full iteration matrix adds the tangent band
+to ``c_acc M + c_vel C``, formed once per coefficient pair and damping
+band. A block of affine reduced steps forms every step's
+``(c_acc M + c_vel C + K_const) + S_T`` at once, once per coefficient
+pair, in one elementwise pass: the step's iteration matrix is a row of
+it, its ``begin_step`` binds views of its rows and copies nothing, and its
+residual is ``M q'' + C q' + (f + J q) - g``. Any other reduced step forms
+``c_acc M + c_vel C + K_const`` on its first call, kept while the
+coefficients and the blend stay, and adds the state-dependent tangent of
+its last residual. The reduced iteration matrix is solved with LAPACK
+``gesv``; the reduced mass check is LAPACK ``potrf``.
 """
 
 from __future__ import annotations
@@ -102,6 +110,7 @@ from .basisdb import (  # noqa: F401
     cell_weight, chain_blend, interpolate_basis, slow_basis_derivative)
 from .errors import IntegrationError
 from .kernels import band_matvec, dense_to_band
+from .models import AffineForces
 from .newmark import TransientSystem
 
 __all__ = [
@@ -125,8 +134,13 @@ def reconstruct(u_eq, basis, q):
 #: Planned steps frozen at once: ``begin_step`` freezes the time-only
 #: quantities of this many steps when it runs past the last frozen one.
 #: A block's fixed cost is a few dozen numpy calls; its memory grows with
-#: it (64 rows of a 20-mode model's blended blocks take 0.6 MB), and so
-#: does its time per step once its arrays outgrow the core's cache.
+#: it, and so does its time per step once its arrays outgrow the core's
+#: cache. A reduced block holds each blended step's operator blocks
+#: (``3m x m``, one row more under linear kinematics); an affine block
+#: holds every step's, and its ``f``, ``J``, ``S_T`` and, per coefficient
+#: pair, iteration matrix: about ``6 m^2`` floats per step in all (64 steps
+#: of the 5-mode straight beam: 0.08 MB). 64 blended steps of the 20-mode
+#: arch take 0.6 MB, and of its correction 1.2 MB.
 BLOCK_STEPS = 64
 
 
@@ -173,7 +187,9 @@ class _BlockFrozen(TransientSystem):
         if k < starts.size and starts[k] == t_start and ends[k] == t_end:
             self._next = k + 1
             if k >= self._stop:
-                # The last block goes before the next one is frozen.
+                # The last block goes before the next one is frozen; what
+                # the last step bound of it lives until this step binds its
+                # own rows, so at most two blocks are held.
                 self._block, stop = None, min(k + BLOCK_STEPS, starts.size)
                 self._block = self._freeze(starts[k:stop], ends[k:stop])
                 self._first, self._stop = k, stop
@@ -277,9 +293,9 @@ class AdaptiveRom(_BlockFrozen):
     checks the blended masses, and freezes what else depends on time alone
     (see the module docstring); ``begin_step`` reads the step's row.
     Subclasses choose the positions (:meth:`_place`), the forces of the
-    right-hand sides (:meth:`_block_forces`) and the reduced force of a
-    step (:meth:`_freeze_force`), not ``begin_step``: the benchmark's
-    tracer books a step per class that defines it.
+    right-hand sides (:meth:`_block_forces`) and the reduced forces of a
+    block's steps (:meth:`_freeze_force`), not ``begin_step``: the
+    benchmark's tracer books a step per class that defines it.
     """
 
     def __init__(self, model, database, tau_of_t, xc_of_tau, load=None):
@@ -327,8 +343,8 @@ class AdaptiveRom(_BlockFrozen):
     def _freeze(self, t_start, t_end):
         """The time-only quantities of the steps ``(t_start, t_end)``, one
         row per step: position, cell and weight, the blended operator
-        blocks and whether their mass failed its check, the model's
-        linearizations, and the right-hand sides."""
+        blocks and whether their mass failed its check, the reduced forces,
+        and the right-hand sides."""
         m, count = self.ndof, t_end.size
         tau, theta, cell, weight = self._place(t_start, t_end)
         nxt = np.minimum(cell + 1, len(self._bases) - 1)
@@ -359,10 +375,41 @@ class AdaptiveRom(_BlockFrozen):
                               weight[:, None])
         # The force rows of each step's blocks, gathered only if the
         # linearization reads them.
-        block.linearization = self.model.reduced_linearizations(
+        self._freeze_force(block, self.model.reduced_linearizations(
             self._node_rows, theta, cell, nxt, weight,
-            lambda: self._node_blocks[cell, 2 * m:] if blocks is None else blocks[:, 2 * m:])
+            lambda: self._node_blocks[cell, 2 * m:] if blocks is None else blocks[:, 2 * m:]))
         return block
+
+    def _freeze_force(self, block, linearization):
+        """Freeze the reduced forces of the block's steps from the model's
+        block ``linearization``: its arrays when it is affine, else the
+        callable ``at(i)``."""
+        if isinstance(linearization, AffineForces):
+            self._freeze_affine(block, self._operators(block), *linearization)
+        else:
+            block.linearization = linearization
+
+    def _operators(self, block):
+        """Each step's mass, damping and ``K_const`` blocks stacked in rows,
+        ``(count, 3m, m)``: a step on a node takes the node's verbatim."""
+        rows, blended = 3 * self.ndof, block.weight != 0.0
+        if block.blocks is None:
+            return self._node_blocks[block.cell, :rows]
+        if blended.all():
+            return block.blocks[:, :rows]
+        return np.where(blended[:, None, None], block.blocks[:, :rows],
+                        self._node_blocks[block.cell, :rows])
+
+    def _freeze_affine(self, block, operators, force, jacobian, thermal):
+        """Freeze the block's affine forces, step ``i``'s ``force[i] +
+        jacobian[i] q`` with the state-dependent tangent ``thermal[i]``,
+        and the per-step views of ``operators`` that its iteration matrices
+        are formed from."""
+        m = self.ndof
+        block.linearization, block.coeffs = None, None
+        block.mass, block.damping = operators[:, :m], operators[:, m:2 * m]
+        block.k_const = operators[:, 2 * m:]
+        block.force, block.jacobian, block.thermal = force, jacobian, thermal
 
     def begin_step(self, t_start, t_end):
         block, row = self._row(t_start, t_end)
@@ -370,6 +417,13 @@ class AdaptiveRom(_BlockFrozen):
         if block.singular[row]:
             raise _mass_error(f"at t = {t_end:.6g} (cell j = {j}, w = {w:.6g}, "
                               f"x_c = {block.theta[row]})", time=t_end)
+        self._g = block.g[row]
+        if block.linearization is None:
+            # An affine step binds views of its block's rows.
+            self._frozen, self._step, self._linearize, self._cell = block, row, None, None
+            self._m_red, self._c_red = block.mass[row], block.damping[row]
+            self._force, self._jacobian = block.force[row], block.jacobian[row]
+            return
         if (j, w) != self._cell:
             self._cell = j, w
             m = self.ndof
@@ -377,21 +431,30 @@ class AdaptiveRom(_BlockFrozen):
             operators = self._node_blocks[j] if w == 0.0 else block.blocks[row].copy()
             self._m_red, self._c_red, self._k_const = operators[:3 * m].reshape(3, m, m)
             self._coeffs = None
-        self._freeze_force(block, row)
-        self._g = block.g[row]
-
-    def _freeze_force(self, block, row):
-        """Freeze the reduced force of the step in ``row`` of ``block``."""
         self._linearize = block.linearization(row)
 
     def residual(self, q, qd, qdd):
-        f, self._tangent = self._linearize(q)
-        return self._m_red @ qdd + self._c_red @ qd + f - self._g
+        # ndarray.dot is the BLAS gemv of @ with less overhead per call.
+        if self._linearize is None:
+            f = self._force + self._jacobian.dot(q)
+        else:
+            f, self._tangent = self._linearize(q)
+        return self._m_red.dot(qdd) + self._c_red.dot(qd) + f - self._g
 
     def iteration_matrix(self, c_acc, c_vel):
-        """``c_acc M + c_vel C + K_const`` plus the state-dependent tangent
-        of the last residual. The first part is formed once per operator
-        blend and coefficient pair, so once per step at most."""
+        """``c_acc M + c_vel C + K_const`` plus the state-dependent tangent.
+        An affine step returns its row of the block's matrices, formed for
+        all the block's steps at once per coefficient pair. Otherwise the
+        first part is formed once per operator blend and coefficient pair,
+        so once per step at most, and the tangent of the last residual is
+        added."""
+        if self._linearize is None:
+            block = self._frozen
+            if block.coeffs != (c_acc, c_vel):
+                block.coeffs = c_acc, c_vel
+                block.matrices = c_acc * block.mass + c_vel * block.damping + block.k_const
+                block.matrices += block.thermal
+            return block.matrices[self._step]
         if self._coeffs != (c_acc, c_vel):
             self._coeffs = c_acc, c_vel
             self._step_matrix = c_acc * self._m_red + c_vel * self._c_red + self._k_const
@@ -465,8 +528,9 @@ class CorrectionRom(AdaptiveRom):
     state independent; initial conditions are identically zero.
 
     Its blocks freeze what the leading model's do, with the slow coupling
-    of each step (:meth:`_block_forces`) in place of the load; a step adds
-    only its tangent ``K0`` (:meth:`_freeze_force`).
+    of each step (:meth:`_block_forces`) in place of the load and the
+    affine force ``K0 q1`` of each step (:meth:`_freeze_force`) in place
+    of the model's.
     """
 
     def __init__(self, leading, q0_of_t, nu, eps_load=None, dxc_dtau=None):
@@ -497,10 +561,16 @@ class CorrectionRom(AdaptiveRom):
             block.q0.append(q0)
         return np.array(forces)
 
-    def _freeze_force(self, block, row):
-        """Freeze the tangent ``K0`` at the step's ``q0``: its
-        state-dependent part from the step's reduced linearization, and
-        ``K_const``."""
-        s0 = block.linearization(row)(block.q0[row])[1]()
-        k0 = self._k_const + s0
-        self._linearize = lambda q: (k0 @ q, lambda: s0)
+    def _freeze_force(self, block, linearization):
+        """The force ``K0 q1`` of each step, affine with ``K0`` the tangent
+        at the step's ``q0``: ``K_const`` and the state-dependent part of
+        the model's linearization at ``q0``, the thermal part of an affine
+        one."""
+        if isinstance(linearization, AffineForces):
+            s0 = linearization.thermal
+        else:
+            s0 = np.array([linearization(i)(q0)[1]() for i, q0 in enumerate(block.q0)])
+        operators = self._operators(block)
+        # -0.0 is the additive identity, so f + K0 q keeps the bits of K0 q.
+        self._freeze_affine(block, operators, np.broadcast_to(-0.0, block.g.shape),
+                            operators[:, 2 * self.ndof:] + s0, s0)

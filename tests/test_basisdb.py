@@ -376,6 +376,24 @@ def test_square_symmetric_bases_round_trip(tmp_path):
         load_database(tmp_path / "db")
 
 
+def test_matrix_files_are_those_of_scipy_mmwrite(tmp_path, db_curved_small):
+    # the database's own writer gives, byte for byte, the file of scipy's
+    # mmwrite, and a file mmwrite wrote loads back bit for bit, signed
+    # zeros and extreme exponents included
+    from scipy.io import mmwrite
+
+    entry = db_curved_small.entries[2]
+    odd = np.array([[-0.0, 1e-310, -2.5e300], [np.pi, 0.0, -1.0 / 3.0]])
+    for j, matrix in enumerate((entry.matrix, entry.u_eq[:, None], odd)):
+        ours, theirs = tmp_path / f"ours{j}.mtx", tmp_path / f"theirs{j}.mtx"
+        basisdb._write_matrix(ours, matrix)
+        mmwrite(str(theirs), matrix, precision=17, symmetry="general")
+        assert ours.read_bytes() == theirs.read_bytes(), j
+        for path in (ours, theirs):
+            assert basisdb._read_matrix(path).tobytes() == matrix.tobytes(), (j, path)
+    assert np.signbit(basisdb._read_matrix(tmp_path / "ours2.mtx")[0, 0])
+
+
 def test_database_save_deterministic(tmp_path, db_curved_small):
     save_database(db_curved_small, tmp_path / "a")
     save_database(db_curved_small, tmp_path / "b")
@@ -396,21 +414,21 @@ def test_failed_save_leaves_no_mix_of_two_databases(tmp_path, monkeypatch):
                       for height in (40.0, 60.0))
     path = tmp_path / "db"
     save_database(old_db, path)
-    mmwrite, calls = basisdb.mmwrite, []
+    write, calls = basisdb._write_matrix, []
 
     def failing(*args, **kwargs):
         calls.append(args[0])
         if len(calls) == 5:
             raise OSError("no space left on device")
-        return mmwrite(*args, **kwargs)
+        return write(*args, **kwargs)
 
-    monkeypatch.setattr(basisdb, "mmwrite", failing)
+    monkeypatch.setattr(basisdb, "_write_matrix", failing)
     with pytest.raises(OSError):
         save_database(new_db, path)
     assert len(calls) == 5
     with pytest.raises(ContractError, match="does not contain a basis database"):
         load_database(path)
-    monkeypatch.setattr(basisdb, "mmwrite", mmwrite)
+    monkeypatch.setattr(basisdb, "_write_matrix", write)
     save_database(new_db, path)
     back = load_database(path)
     assert any(np.signbit(e.matrix[e.matrix == 0.0]).any() for e in new_db.entries)

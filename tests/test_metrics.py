@@ -1,8 +1,12 @@
 """Reduction error metrics."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
+from thermrom import metrics
 from thermrom.errors import ContractError
 from thermrom.metrics import (
     adaptive_projection_floor,
@@ -10,6 +14,7 @@ from thermrom.metrics import (
     error_uniform,
     projection_floor,
 )
+from thermrom.scenarios import _method_errors
 
 
 def test_identical_histories_zero_error(rng):
@@ -87,3 +92,52 @@ def test_adaptive_projection_floor_follows_the_frames(rng):
         projection_floor(u, basis), rel=1e-12)
     with pytest.raises(ValueError, match="shorter"):
         adaptive_projection_floor(u, frames[:-1])
+
+
+def _whole_history_errors(u_ref, u_red, probes):
+    """The metrics of a method from whole-history arrays: the reference
+    the chunked norms must equal bit for bit."""
+    ref_norm = np.linalg.norm(u_ref, axis=1)
+    diff_norm = np.linalg.norm(u_ref - u_red, axis=1)
+    instant = np.full(len(u_ref), np.nan)
+    valid = ref_norm > 0.0
+    instant[valid] = diff_norm[valid] / ref_norm[valid]
+    uniform = [float(np.sum(diff_norm) / np.sum(ref_norm))]
+    for dof in probes:
+        ref_col, diff_col = u_ref[:, dof][:, None], (u_ref[:, dof] - u_red[:, dof])[:, None]
+        uniform.append(float(np.sum(np.linalg.norm(diff_col, axis=1))
+                             / np.sum(np.linalg.norm(ref_col, axis=1))))
+    return uniform, instant
+
+
+@pytest.mark.parametrize("rows", [2, metrics.CHUNK_ROWS - 1, metrics.CHUNK_ROWS,
+                                  3 * metrics.CHUNK_ROWS + 7])
+def test_method_errors_equal_the_whole_history_ones(rows, rng):
+    # E_uniform, the probe errors and the instant errors from the chunked
+    # norms equal, bit for bit, those of whole-history differences, with a
+    # zero reference sample and tiny values whose squares are subnormal
+    u_ref = rng.standard_normal((rows, 13))
+    u_ref[0, 3] = 1e-160
+    u_ref[rows // 2] = 0.0
+    u_red = u_ref + 1e-3 * rng.standard_normal(u_ref.shape)
+    got = _method_errors(u_ref, types.SimpleNamespace(displacement=u_red), (3, 7))
+    uniform, instant = _whole_history_errors(u_ref, u_red, (3, 7))
+    assert [got["E_uniform"], got["E_axial_probe"], got["E_transverse_probe"]] == uniform
+    assert got["instant"].tobytes() == instant.tobytes()
+    assert error_uniform(u_ref, u_red) == uniform[0]
+    assert error_instant(u_ref, u_red)[0].tobytes() == instant.tobytes()
+
+
+def test_method_errors_allocate_less_than_a_history(rng):
+    # the norms are formed a chunk of rows at a time: the metrics of a
+    # method allocate less than one history, where the whole differences
+    # took two
+    u_ref = rng.standard_normal((5001, 177))
+    result = types.SimpleNamespace(displacement=u_ref + 1e-3 * rng.standard_normal(u_ref.shape))
+    tracemalloc.start()
+    try:
+        _method_errors(u_ref, result, (3, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u_ref.nbytes / 2, peak

@@ -35,6 +35,103 @@ class Linear1Dof(TransientSystem):
         return np.array([[c_acc + c_vel * self.c + self.omega**2]])
 
 
+class Duffing3Dof(TransientSystem):
+    """Three masses on linear springs with a cubic spring to ground each
+    (``k3 = 0`` is linear), damped, under a load that is zero before
+    ``t_on`` and a sine after."""
+
+    def __init__(self, k3, t_on=0.0):
+        self.k = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]) * 40.0
+        self.c = 0.02 * self.k
+        self.k3 = k3
+        self.t_on = t_on
+
+    @property
+    def ndof(self):
+        return 3
+
+    def mass(self):
+        return np.diag([1.0, 2.0, 0.5])
+
+    def begin_step(self, t_start, t_end):
+        self._g = np.array([0.0, 0.0, 3.0]) * (np.sin(5.0 * t_end) if t_end >= self.t_on else 0.0)
+
+    def residual(self, u, v, a):
+        self._u = u.copy()
+        return self.mass() @ a + self.c @ v + self.k @ u + self.k3 * u**3 - self._g
+
+    def iteration_matrix(self, c_acc, c_vel):
+        return c_acc * self.mass() + c_vel * self.c + self.k + np.diag(3.0 * self.k3 * self._u**2)
+
+
+def _reference_newmark(system, u0, v0, dt, n_steps, settings):
+    """A plain loop with the integrator's arithmetic: new arrays for every
+    iterate, copied into the histories, and every norm ``sqrt(x @ x)``."""
+    norm = lambda x: np.sqrt(x @ x)  # noqa: E731
+    beta, gamma = 0.25, 0.5
+    n = system.ndof
+    times = dt * np.arange(n_steps + 1)
+    hist = np.empty((3, n_steps + 1, n))
+    step_residuals, iterations = np.zeros(n_steps + 1), np.zeros(n_steps + 1, dtype=int)
+    system.plan_steps(np.concatenate(([0.0], times[:-1])), times)
+    system.begin_step(0.0, 0.0)
+    u, v = u0.copy(), v0.copy()
+    a = np.linalg.solve(system.mass(), -system.residual(u, v, np.zeros(n)))
+    hist[:, 0] = u, v, a
+    c_acc, c_vel = 1.0 / (beta * dt * dt), gamma / (beta * dt)
+    for step in range(1, n_steps + 1):
+        system.begin_step(times[step - 1], times[step])
+        u_pred = u + dt * v + dt * dt * (0.5 - beta) * a
+        v_pred = v + dt * (1.0 - gamma) * a
+        u1, v1, a1 = u_pred, v_pred, np.zeros(n)
+        r = system.residual(u1, v1, a1)
+        res = [norm(r)]
+        iters = 0
+        while res[-1] > settings.newton_tol * res[0] and res[0] > 0.0:
+            du = system.solve(system.iteration_matrix(c_acc, c_vel), -r)
+            u1 = u1 + du
+            a1 = c_acc * (u1 - u_pred)
+            v1 = v_pred + gamma * dt * a1
+            r = system.residual(u1, v1, a1)
+            res.append(norm(r))
+            iters += 1
+            if norm(du) <= 1e-12 * (1.0 + norm(u1)):
+                break
+        iterations[step], step_residuals[step] = iters, res[-1]
+        u, v, a = u1, v1, a1
+        hist[:, step] = u, v, a
+    return hist, step_residuals, iterations
+
+
+@pytest.mark.parametrize("case", ["linear", "nonlinear", "zero-residual"])
+def test_integrator_equals_the_plain_loop(case):
+    # the integrator's histories, step residuals and Newton counts equal a
+    # plain reference loop's bit for bit: on a linear system, a nonlinear
+    # one that takes several Newton iterations per step, and one at rest
+    # under no load for its first steps, which take none
+    system, u0 = {
+        "linear": (Duffing3Dof(0.0), np.array([0.01, -0.02, 0.03])),
+        "nonlinear": (Duffing3Dof(4e4), np.array([0.1, -0.2, 0.3])),
+        "zero-residual": (Duffing3Dof(4e4, t_on=0.1), np.zeros(3)),
+    }[case]
+    settings = NewmarkSettings(newton_tol=1e-10)
+    dt, n_steps = 0.01, 80
+    traj = newmark_integrate(system, u0, np.zeros(3), dt, n_steps, settings)
+    hist, step_residuals, iterations = _reference_newmark(
+        system, u0, np.zeros(3), dt, n_steps, settings)
+    for field, expect in zip(("displacement", "velocity", "acceleration"), hist):
+        assert getattr(traj, field).tobytes() == expect.tobytes(), field
+    assert traj.step_residuals.tobytes() == step_residuals.tobytes()
+    assert traj.newton_iterations.tobytes() == iterations.tobytes()
+    counts = iterations[1:]
+    if case == "nonlinear":
+        assert counts.max() >= 3
+    elif case == "zero-residual":
+        assert counts.min() == 0 and counts.max() >= 2
+    else:
+        assert counts.min() >= 1
+
+
 def test_settings_max_newton_bound():
     NewmarkSettings(max_newton=1)
     with pytest.raises(ContractError):

@@ -647,6 +647,81 @@ def test_singular_blended_mass_in_a_block_raises_at_its_step(beam_curved_nl, db_
     assert "x_c = 0.05" in str(info.value)
 
 
+def _step_operators(system, t0, t1):
+    """Mass, damping and ``K_const`` of the step ``(t0, t1)`` and the force
+    blocks of its blend, formed for that step alone with the blend written
+    out; a step on a node takes the node's blocks."""
+    m = system.ndof
+    _, theta, cell, weight = system._place(np.array([t0]), np.array([t1]))
+    j, w = int(cell[0]), float(weight[0])
+    blocks = system._node_blocks[j].copy()
+    if w != 0.0:
+        blocks *= (1.0 - w) ** 2
+        blocks += system._cross_blocks[j] * (w * (1.0 - w))
+        blocks += system._node_blocks[j + 1] * w ** 2
+    linearization = system.model.reduced_linearizations(
+        system._node_rows, theta, cell, np.minimum(cell + 1, len(system._bases) - 1), weight,
+        lambda: blocks[None, 2 * m:])
+    return blocks[:m], blocks[m:2 * m], blocks[2 * m:3 * m], linearization
+
+
+@pytest.mark.parametrize("name", ["straight-linear mms-o1", "straight-linear modal-pod",
+                                  "curved-nonlinear correction"])
+def test_affine_block_rows_equal_the_step_alone(beams_and_dbs, name, rng):
+    # the iteration matrix a planned step reads from its block equals
+    # (c_acc M + c_vel C + K_const) + S_T formed for that step alone, and its
+    # residual M qdd + C qd + (f + J q) - g, bit for bit: over two blocks
+    # and a partial third, with the pulse on grid nodes, inside cells and
+    # clamped past the grid ends, so that blocks mix blended and unblended
+    # steps. S_T is the thermal tangent of an affine force, and for the
+    # correction the tangent at the step's q0, with J = K_const + S_T and
+    # no constant force
+    kinematics, method = name.split()
+    model, db = beams_and_dbs[kinematics]
+    g, m, nu, dt = db.grid, db.m, 2.0e3, 1e-5
+    n_steps = 2 * rom.BLOCK_STEPS + 10
+    positions = np.concatenate([g, g[:-1] + rng.uniform(0.05, 0.95, g.size - 1) * np.diff(g),
+                                [g[0] - 0.01, g[-1] + 0.01]])
+    positions = rng.permutation(np.resize(positions, n_steps + 1))
+    qa = 1e-4 * rng.standard_normal(m)
+    l_vec = model.uniform_transverse_load(3e2)
+
+    def load(t):
+        return l_vec * np.cos(nu * t)
+
+    # the step midpoint's slow phase is the step's index, plus one half
+    leading = AdaptiveRom(model, db, tau_of_t=lambda t: t / dt, load=load,
+                          xc_of_tau=lambda tau: positions[np.floor(tau).astype(int)])
+    system = {
+        "mms-o1": leading,
+        "modal-pod": ConstantBasisRom(
+            model, db.entries[2].matrix, load=load, u_ref=db.entries[2].u_eq,
+            theta_of_t=lambda t: positions[np.rint(t / dt).astype(int) - 1]),
+        "correction": CorrectionRom(leading, q0_of_t=lambda t: (qa * np.sin(nu * t), qa),
+                                    nu=nu, eps_load=load, dxc_dtau=lambda tau: 0.02),
+    }[method]
+    t_start, t_end = dt * np.arange(n_steps), dt * np.arange(1, n_steps + 1)
+    system.plan_steps(t_start, t_end)
+    weights = set()
+    for k in range(n_steps):
+        system.begin_step(t_start[k], t_end[k])
+        mass, damping, k_const, linearization = _step_operators(system, t_start[k], t_end[k])
+        if method == "correction":
+            s_t = linearization(0)(system.q0_of_t(t_end[k])[0])[1]()
+            force, jacobian = None, k_const + s_t
+        else:
+            force, jacobian, s_t = (a[0] for a in linearization)
+        c_acc, c_vel = 4.0e9 * (1 + k % 2), 1.0e5
+        expect = c_acc * mass + c_vel * damping + k_const + s_t
+        assert system.iteration_matrix(c_acc, c_vel).tobytes() == expect.tobytes(), k
+        q, qd, qdd = (s * rng.standard_normal(m) for s in (1e-4, 1e-2, 1e2))
+        f = jacobian @ q if force is None else force + jacobian @ q
+        expect = mass @ qdd + damping @ qd + f - system._g
+        assert system.residual(q, qd, qdd).tobytes() == expect.tobytes(), k
+        weights.add(system._place(t_start[k:k + 1], t_end[k:k + 1])[3][0] != 0.0)
+    assert weights == ({False} if method == "modal-pod" else {False, True})
+
+
 # -- slow correction ----------------------------------------------------------------
 
 def _correction_rhs(corr, t):
