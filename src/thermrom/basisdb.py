@@ -252,10 +252,16 @@ def interpolate_basis(db, x_c):
 
 def slow_basis_derivative(db, x_c, delta=None):
     """Central-difference derivative of the interpolated basis and
-    equilibrium with respect to the pulse-center position.
+    equilibrium with respect to the pulse-center position, over the stencil
+    ``[x_c - delta, x_c + delta]`` cut at the grid ends.
 
-    Inside a grid cell this equals the exact piecewise-constant slope of the
-    linear interpolation, and on an end node the one-sided slope. Off the
+    The interpolation is piecewise linear, so the difference is the mean of
+    the cells' constant slopes over the stencil, each weighted by the part
+    of the stencil in that cell. The default ``delta`` is half the width of
+    the cell of ``x_c``: the stencil stays in that cell, and the difference
+    is its exact slope, only at the cell midpoint and on the two end nodes
+    (one-sided there). Elsewhere it reaches into a neighbouring cell and
+    blends in that cell's slope, half and half on an inner node. Off the
     grid the clamped basis does not move: the derivative is zero there, as
     for a single-entry database.
     """

@@ -464,7 +464,7 @@ class BeamModel(SecondOrderModel):
         Step ``i`` blends nodes ``cell[i]`` and ``upper[i]`` with weight
         ``weight[i]`` at the temperature parameter ``thetas[i]`` (``thetas``
         None: a cold beam). ``rows`` are the node rows of
-        :meth:`reduced_force_blocks`, and ``forces()`` returns the force
+        :meth:`reduced_force_blocks`, and ``forces`` holds the force
         blocks of every step's blend.
 
         - Under full kinematics this is ``at(i)``, step ``i``'s
@@ -472,7 +472,7 @@ class BeamModel(SecondOrderModel):
           one: it blends the step's rows and offsets and freezes the reduced
           weak form at the step's Gauss temperatures
           (:func:`kernels.reduced_linearization`); each state evaluates it
-          once. ``forces`` is not called.
+          once. ``forces`` is not read.
         - Under linear kinematics the force is affine, ``f + J q``, and this
           is its :class:`~thermrom.models.AffineForces`: for the whole
           block, the thermal force and tangent of each step's heated Gauss
@@ -508,10 +508,10 @@ class BeamModel(SecondOrderModel):
             heated = chain_blend(heated, np.take(flat, upper[:, None] * rows.shape[1] + points,
                                                  axis=0),
                                  weight[:, None, None], overwrite=True)
-        cold = forces()
-        m = cold.shape[-1]
+        m = forces.shape[-1]
         return AffineForces(*kernels.reduced_thermal_linearization(
-            heated, (t_heated * self._wq_thermal).reshape(count, -1), cold[:, m], cold[:, :m]))
+            heated, (t_heated * self._wq_thermal).reshape(count, -1), forces[:, m],
+            forces[:, :m]))
 
     def strain_energy(self, u, theta):
         return kernels.beam_strain_energy(*self._kernel_args(u, theta))

@@ -49,7 +49,7 @@ contract on its chain of bases, offline once and then once per block:
 - per block, ``model.reduced_linearizations(rows, thetas, cell, upper,
   weight, forces)`` gives the steps' reduced forces from the block's
   cells, upper nodes, weights and temperature parameters and the force
-  rows of its blended blocks: either ``at(i)``, the step's linearization
+  rows of its steps' operator blocks: either ``at(i)``, the step's linearization
   ``q -> (f, tangent)``, or, for a force affine in the state, its arrays
   :class:`~thermrom.models.AffineForces` ``(f, J, S_T)``, step ``i``'s
   force ``f[i] + J[i] q``. The tangent, ``tangent()`` or ``S_T[i]``, is
@@ -69,7 +69,9 @@ its one interval with the same code, so a row does not depend on the
 block it was frozen in. Per block and step the reduced models freeze the
 pulse position, the cell and weight from :func:`basisdb.cell_weight`
 (which :func:`basisdb.interpolate_basis` and the batched reconstruction
-use too), the blended blocks with the check of the blended mass, the
+use too), each step's operator blocks with the check of the blended
+mass (a step on a node takes the node's blocks verbatim, and a block whose
+steps all sit on one node, such as a constant basis, views them), the
 model's reduced forces, and the right-hand side: the block's forces (the
 loads, or the correction's slow coupling at each step's ``q0``), stacked,
 projected on the node bases ``V_j``, ``V_{j+1}`` and blended as m-vectors
@@ -86,14 +88,13 @@ u + b(theta)``, with the loads ``b`` of the block at once and one band
 workspace that each step turns from the previous step's ``K`` into its
 own, with no weak form. The full iteration matrix adds the tangent band
 to ``c_acc M + c_vel C``, formed once per coefficient pair and damping
-band. A block of affine reduced steps forms every step's
-``(c_acc M + c_vel C + K_const) + S_T`` at once, once per coefficient
-pair, in one elementwise pass: the step's iteration matrix is a row of
-it, its ``begin_step`` binds views of its rows and copies nothing, and its
-residual is ``M q'' + C q' + (f + J q) - g``. Any other reduced step forms
-``c_acc M + c_vel C + K_const`` on its first call, kept while the
-coefficients and the blend stay, and adds the state-dependent tangent of
-its last residual. The reduced iteration matrix is solved with LAPACK
+band. A reduced block forms every step's ``c_acc M + c_vel C +
+K_const``, with ``S_T`` added for an affine force, at once, once per
+coefficient pair, in one elementwise pass. A step's ``begin_step`` binds
+views of its rows and copies nothing; its iteration matrix is its row, to
+which a step whose force is not affine adds the state-dependent tangent
+of its last residual, and an affine step's residual is ``M q'' + C q' +
+(f + J q) - g``. The reduced iteration matrix is solved with LAPACK
 ``gesv``; the reduced mass check is LAPACK ``potrf``.
 """
 
@@ -135,12 +136,15 @@ def reconstruct(u_eq, basis, q):
 #: quantities of this many steps when it runs past the last frozen one.
 #: A block's fixed cost is a few dozen numpy calls; its memory grows with
 #: it, and so does its time per step once its arrays outgrow the core's
-#: cache. A reduced block holds each blended step's operator blocks
-#: (``3m x m``, one row more under linear kinematics); an affine block
-#: holds every step's, and its ``f``, ``J``, ``S_T`` and, per coefficient
-#: pair, iteration matrix: about ``6 m^2`` floats per step in all (64 steps
-#: of the 5-mode straight beam: 0.08 MB). 64 blended steps of the 20-mode
-#: arch take 0.6 MB, and of its correction 1.2 MB.
+#: cache. A reduced block holds each step's operator blocks (``3m x m``,
+#: one row more under linear kinematics; views of the node's when every
+#: step sits on one node, as on a constant basis) and, per coefficient
+#: pair, each step's ``m x m`` iteration matrix; an affine block holds its
+#: ``f``, ``J`` and ``S_T`` too. That is about ``4 m^2`` floats per step,
+#: ``6 m^2`` when affine and ``m^2`` on one node. With the rest of a block
+#: (tracemalloc), 64 steps take 0.12 MB on the 5-mode straight beam, and
+#: on the arch 1.0 MB for the 20-mode adaptive model, 1.3 MB for its
+#: correction and 1.1 MB for the 43-mode modal baseline.
 BLOCK_STEPS = 64
 
 
@@ -331,7 +335,6 @@ class AdaptiveRom(_BlockFrozen):
             self._cross_blocks.append(np.concatenate(
                 [*(square + square.transpose(0, 2, 1)), cross_forces[j]]))
         self._cross_blocks = np.array(self._cross_blocks)
-        self._cell = None
 
     @property
     def ndof(self):
@@ -342,14 +345,14 @@ class AdaptiveRom(_BlockFrozen):
 
     def _freeze(self, t_start, t_end):
         """The time-only quantities of the steps ``(t_start, t_end)``, one
-        row per step: position, cell and weight, the blended operator
-        blocks and whether their mass failed its check, the reduced forces,
-        and the right-hand sides."""
+        row per step: position, cell and weight, the operator blocks and
+        whether their blended mass failed its check, the reduced forces, and
+        the right-hand sides."""
         m, count = self.ndof, t_end.size
         tau, theta, cell, weight = self._place(t_start, t_end)
         nxt = np.minimum(cell + 1, len(self._bases) - 1)
         blended = weight != 0.0
-        blocks, singular = None, np.zeros(count, dtype=bool)
+        singular = np.zeros(count, dtype=bool)
         if blended.any():
             # The blend in place; float_power squares with libm's pow, like
             # Python's float **, where numpy's ** rounds some squares apart.
@@ -362,9 +365,19 @@ class AdaptiveRom(_BlockFrozen):
             np.take(self._node_blocks, nxt, axis=0, out=part, mode="clip")
             part *= np.float_power(w, 2)
             blocks += part
+            # A step on a node takes the node's blocks verbatim.
+            blocks[~blended] = self._node_blocks[cell[~blended]]
             singular[blended] = _not_positive_definite(blocks[blended, :m])
-        block = SimpleNamespace(tau=tau, theta=theta, cell=cell, weight=weight, blocks=blocks,
-                                singular=singular)
+        elif (cell == cell[0]).all():
+            # A block on one node, such as a constant basis, views its blocks.
+            blocks = np.broadcast_to(self._node_blocks[cell[0]],
+                                     (count, *self._node_blocks.shape[1:]))
+        else:
+            blocks = self._node_blocks[cell]
+        block = SimpleNamespace(tau=tau, theta=theta, cell=cell, weight=weight, singular=singular,
+                                mass=blocks[:, :m], damping=blocks[:, m:2 * m],
+                                k_const=blocks[:, 2 * m:3 * m], linearization=None,
+                                thermal=None, coeffs=None)
         # The forces projected on each node basis of the block in one batched
         # product per node (each row the bits of V_j' f alone) and blended.
         forces = self._block_forces(block, t_end)[:, None, :]
@@ -373,65 +386,33 @@ class AdaptiveRom(_BlockFrozen):
         steps = np.arange(count)
         block.g = chain_blend(projected[index[:count], steps], projected[index[count:], steps],
                               weight[:, None])
-        # The force rows of each step's blocks, gathered only if the
-        # linearization reads them.
         self._freeze_force(block, self.model.reduced_linearizations(
-            self._node_rows, theta, cell, nxt, weight,
-            lambda: self._node_blocks[cell, 2 * m:] if blocks is None else blocks[:, 2 * m:]))
+            self._node_rows, theta, cell, nxt, weight, blocks[:, 2 * m:]))
         return block
 
     def _freeze_force(self, block, linearization):
         """Freeze the reduced forces of the block's steps from the model's
-        block ``linearization``: its arrays when it is affine, else the
-        callable ``at(i)``."""
+        block ``linearization``: its arrays ``(f, J, S_T)`` when it is
+        affine, else the callable ``at(i)``."""
         if isinstance(linearization, AffineForces):
-            self._freeze_affine(block, self._operators(block), *linearization)
+            block.force, block.jacobian, block.thermal = linearization
         else:
             block.linearization = linearization
 
-    def _operators(self, block):
-        """Each step's mass, damping and ``K_const`` blocks stacked in rows,
-        ``(count, 3m, m)``: a step on a node takes the node's verbatim."""
-        rows, blended = 3 * self.ndof, block.weight != 0.0
-        if block.blocks is None:
-            return self._node_blocks[block.cell, :rows]
-        if blended.all():
-            return block.blocks[:, :rows]
-        return np.where(blended[:, None, None], block.blocks[:, :rows],
-                        self._node_blocks[block.cell, :rows])
-
-    def _freeze_affine(self, block, operators, force, jacobian, thermal):
-        """Freeze the block's affine forces, step ``i``'s ``force[i] +
-        jacobian[i] q`` with the state-dependent tangent ``thermal[i]``,
-        and the per-step views of ``operators`` that its iteration matrices
-        are formed from."""
-        m = self.ndof
-        block.linearization, block.coeffs = None, None
-        block.mass, block.damping = operators[:, :m], operators[:, m:2 * m]
-        block.k_const = operators[:, 2 * m:]
-        block.force, block.jacobian, block.thermal = force, jacobian, thermal
-
     def begin_step(self, t_start, t_end):
         block, row = self._row(t_start, t_end)
-        j, w = int(block.cell[row]), float(block.weight[row])
         if block.singular[row]:
-            raise _mass_error(f"at t = {t_end:.6g} (cell j = {j}, w = {w:.6g}, "
+            raise _mass_error(f"at t = {t_end:.6g} (cell j = {int(block.cell[row])}, "
+                              f"w = {float(block.weight[row]):.6g}, "
                               f"x_c = {block.theta[row]})", time=t_end)
-        self._g = block.g[row]
+        # The step binds views of its block's rows and copies nothing.
+        self._frozen, self._step, self._g = block, row, block.g[row]
+        self._m_red, self._c_red = block.mass[row], block.damping[row]
         if block.linearization is None:
-            # An affine step binds views of its block's rows.
-            self._frozen, self._step, self._linearize, self._cell = block, row, None, None
-            self._m_red, self._c_red = block.mass[row], block.damping[row]
             self._force, self._jacobian = block.force[row], block.jacobian[row]
-            return
-        if (j, w) != self._cell:
-            self._cell = j, w
-            m = self.ndof
-            # A copy of a blended row, not a view that keeps the block.
-            operators = self._node_blocks[j] if w == 0.0 else block.blocks[row].copy()
-            self._m_red, self._c_red, self._k_const = operators[:3 * m].reshape(3, m, m)
-            self._coeffs = None
-        self._linearize = block.linearization(row)
+            self._linearize = None
+        else:
+            self._linearize = block.linearization(row)
 
     def residual(self, q, qd, qdd):
         # ndarray.dot is the BLAS gemv of @ with less overhead per call.
@@ -442,23 +423,20 @@ class AdaptiveRom(_BlockFrozen):
         return self._m_red.dot(qdd) + self._c_red.dot(qd) + f - self._g
 
     def iteration_matrix(self, c_acc, c_vel):
-        """``c_acc M + c_vel C + K_const`` plus the state-dependent tangent.
-        An affine step returns its row of the block's matrices, formed for
-        all the block's steps at once per coefficient pair. Otherwise the
-        first part is formed once per operator blend and coefficient pair,
-        so once per step at most, and the tangent of the last residual is
-        added."""
-        if self._linearize is None:
-            block = self._frozen
-            if block.coeffs != (c_acc, c_vel):
-                block.coeffs = c_acc, c_vel
-                block.matrices = c_acc * block.mass + c_vel * block.damping + block.k_const
+        """The step's row of its block's ``c_acc M + c_vel C + K_const``,
+        formed for all the block's steps at once per coefficient pair, with
+        an affine force's ``S_T`` added in the same pass; a step whose force
+        is not affine adds the state-dependent tangent of its last
+        residual."""
+        block = self._frozen
+        if block.coeffs != (c_acc, c_vel):
+            block.coeffs = c_acc, c_vel
+            block.matrices = c_acc * block.mass + c_vel * block.damping + block.k_const
+            if block.thermal is not None:
                 block.matrices += block.thermal
+        if self._linearize is None:
             return block.matrices[self._step]
-        if self._coeffs != (c_acc, c_vel):
-            self._coeffs = c_acc, c_vel
-            self._step_matrix = c_acc * self._m_red + c_vel * self._c_red + self._k_const
-        return self._step_matrix + self._tangent()
+        return block.matrices[self._step] + self._tangent()
 
     def solve(self, s_mat, rhs):
         """Solve with an :meth:`iteration_matrix` by LAPACK ``gesv``."""
@@ -570,7 +548,6 @@ class CorrectionRom(AdaptiveRom):
             s0 = linearization.thermal
         else:
             s0 = np.array([linearization(i)(q0)[1]() for i, q0 in enumerate(block.q0)])
-        operators = self._operators(block)
         # -0.0 is the additive identity, so f + K0 q keeps the bits of K0 q.
-        self._freeze_affine(block, operators, np.broadcast_to(-0.0, block.g.shape),
-                            operators[:, 2 * self.ndof:] + s0, s0)
+        block.force, block.jacobian, block.thermal = (
+            np.broadcast_to(-0.0, block.g.shape), block.k_const + s0, s0)

@@ -153,6 +153,10 @@ class ScenarioConfig:
             raise ConfigError("steps_per_cycle must be >= 20")
         if self.basis_size is not None and self.basis_size < 1:
             raise ConfigError("basis_size must be >= 1")
+        for name, least in (("db_points", 1), ("k_modes", 1), ("max_newton", 1),
+                            ("n_elements", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         subset = self.modal_subset
         if isinstance(subset, str):
             valid = subset in ("preset", "random")

@@ -176,7 +176,8 @@ def test_missing_subcommand_exits_2(tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("line", ["modal_subset = 4,x", "basis_size = 0"])
+@pytest.mark.parametrize("line", ["modal_subset = 4,x", "basis_size = 0", "db_points = 0",
+                                  "k_modes = 0", "max_newton = 0", "n_elements = 1"])
 def test_run_bad_config_value_is_a_configuration_error(line, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(f"[run]\nscenario = curved-nonlinear\n{line}\n")

@@ -235,6 +235,13 @@ def test_scenario_config_validation():
     for subset in (None, 4.0, ("a",), "nearest"):
         with pytest.raises(ConfigError, match="modal_subset"):
             ScenarioConfig(modal_subset=subset)
+    # sizes the set-up would index or loop over before failing outside the
+    # configuration-error path
+    for name, value in (("db_points", 0), ("k_modes", 0), ("max_newton", 0),
+                        ("n_elements", 1), ("n_elements", -2)):
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig(**{name: value})
+    ScenarioConfig(db_points=1, k_modes=1, max_newton=1, n_elements=2)
 
 
 def test_default_cycles_follow_thermal_span():

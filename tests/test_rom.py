@@ -19,6 +19,7 @@ from thermrom.basisdb import (
     slow_basis_derivative,
 )
 from thermrom.errors import ContractError, IntegrationError
+from thermrom.models import AffineForces
 from thermrom.newmark import newmark_integrate
 from thermrom.rom import (
     AdaptiveRom,
@@ -572,13 +573,14 @@ def test_frozen_blocks_equal_one_interval_at_a_time(beams_and_dbs, kinematics):
             assert got.tobytes() == expect.tobytes(), (kinematics, name, field)
 
 
-def test_frozen_blocks_hold_no_array_sized_by_the_run(beams_and_dbs):
+@pytest.mark.parametrize("kinematics", ["straight-linear", "curved-nonlinear"])
+def test_frozen_blocks_hold_no_array_sized_by_the_run(beams_and_dbs, kinematics):
     # a frozen block holds BLOCK_STEPS rows, and the last block goes before
     # the next is frozen: what an integration allocates beyond its
     # histories grows with the run by less than one float per step and
     # full-model unknown, the growth a freeze of the whole run would take
     # (measured: 0.12 of it for every system, from 2 to 16 blocks)
-    model, db = beams_and_dbs["straight-linear"]
+    model, db = beams_and_dbs[kinematics]
 
     def extra_bytes(n_steps):
         systems, dt = _sweep_systems(model, db, n_steps)
@@ -661,21 +663,25 @@ def _step_operators(system, t0, t1):
         blocks += system._node_blocks[j + 1] * w ** 2
     linearization = system.model.reduced_linearizations(
         system._node_rows, theta, cell, np.minimum(cell + 1, len(system._bases) - 1), weight,
-        lambda: blocks[None, 2 * m:])
+        blocks[None, 2 * m:])
     return blocks[:m], blocks[m:2 * m], blocks[2 * m:3 * m], linearization
 
 
 @pytest.mark.parametrize("name", ["straight-linear mms-o1", "straight-linear modal-pod",
-                                  "curved-nonlinear correction"])
-def test_affine_block_rows_equal_the_step_alone(beams_and_dbs, name, rng):
-    # the iteration matrix a planned step reads from its block equals
-    # (c_acc M + c_vel C + K_const) + S_T formed for that step alone, and its
-    # residual M qdd + C qd + (f + J q) - g, bit for bit: over two blocks
-    # and a partial third, with the pulse on grid nodes, inside cells and
-    # clamped past the grid ends, so that blocks mix blended and unblended
-    # steps. S_T is the thermal tangent of an affine force, and for the
-    # correction the tangent at the step's q0, with J = K_const + S_T and
-    # no constant force
+                                  "curved-nonlinear correction", "curved-nonlinear mms-o1",
+                                  "curved-nonlinear modal-pod"])
+def test_block_rows_equal_the_step_alone(beams_and_dbs, name, rng):
+    # the residual of a planned step and the iteration matrix it reads from
+    # its block equal those formed for that step alone, bit for bit: over
+    # two blocks and a partial third, with the pulse on grid nodes, inside
+    # cells and clamped past the grid ends, so that blocks mix blended and
+    # unblended steps, and with alternating coefficient pairs. An affine
+    # force gives M qdd + C qd + (f + J q) - g and (c_acc M + c_vel C +
+    # K_const) + S_T, with S_T its thermal tangent, and for the correction
+    # the tangent at the step's q0, with J = K_const + S_T and no constant
+    # force. Any other gives M qdd + C qd + f(q) - g and (c_acc M + c_vel C
+    # + K_const) + tangent(), the tangent of the step's linearization at
+    # the residual's q
     kinematics, method = name.split()
     model, db = beams_and_dbs[kinematics]
     g, m, nu, dt = db.grid, db.m, 2.0e3, 1e-5
@@ -706,18 +712,21 @@ def test_affine_block_rows_equal_the_step_alone(beams_and_dbs, name, rng):
     for k in range(n_steps):
         system.begin_step(t_start[k], t_end[k])
         mass, damping, k_const, linearization = _step_operators(system, t_start[k], t_end[k])
+        q, qd, qdd = (s * rng.standard_normal(m) for s in (1e-4, 1e-2, 1e2))
         if method == "correction":
             s_t = linearization(0)(system.q0_of_t(t_end[k])[0])[1]()
-            force, jacobian = None, k_const + s_t
-        else:
+            f = (k_const + s_t) @ q
+        elif isinstance(linearization, AffineForces):
             force, jacobian, s_t = (a[0] for a in linearization)
+            f = force + jacobian @ q
+        else:
+            f, tangent = linearization(0)(q)
+            s_t = tangent()
+        expect = mass @ qdd + damping @ qd + f - system._g
+        assert system.residual(q, qd, qdd).tobytes() == expect.tobytes(), k
         c_acc, c_vel = 4.0e9 * (1 + k % 2), 1.0e5
         expect = c_acc * mass + c_vel * damping + k_const + s_t
         assert system.iteration_matrix(c_acc, c_vel).tobytes() == expect.tobytes(), k
-        q, qd, qdd = (s * rng.standard_normal(m) for s in (1e-4, 1e-2, 1e2))
-        f = jacobian @ q if force is None else force + jacobian @ q
-        expect = mass @ qdd + damping @ qd + f - system._g
-        assert system.residual(q, qd, qdd).tobytes() == expect.tobytes(), k
         weights.add(system._place(t_start[k:k + 1], t_end[k:k + 1])[3][0] != 0.0)
     assert weights == ({False} if method == "modal-pod" else {False, True})
 
